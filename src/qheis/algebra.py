@@ -332,6 +332,18 @@ class NormalMonomial:
 _UNIT_MONO = NormalMonomial("p", 0, 0)
 
 
+def _scalar_power(c: ScalarQ, n: int) -> ScalarQ:
+    """c^n for n >= 0 by square-and-multiply."""
+    out = _ONE
+    while n:
+        if n & 1:
+            out = out * c
+        n >>= 1
+        if n:
+            c = c * c
+    return out
+
+
 class AlgebraElement:
     """A finite scalar combination of NormalMonomials."""
 
@@ -430,6 +442,12 @@ class AlgebraElement:
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
             raise ValueError("negative powers are not defined on elements")
+        if len(self._terms) == 1:
+            (mono, coeff), = self._terms.items()
+            if mono.power == 0:
+                # powers of u commute, so (c u^m)^n = c^n u^{mn}
+                return AlgebraElement({NormalMonomial("p", 0, mono.uexp * n):
+                                       _scalar_power(coeff, n)})
         out = AlgebraElement.one()
         for _ in range(n):
             out = multiply(out, self)

@@ -36,6 +36,7 @@ from .algebra import (
     random_element,
     star,
 )
+from .catalog import CATALOG_KINDS  # re-exported: defined apart, see catalog
 from .extensions import (
     BoundaryMap,
     ExtensionTriple,
@@ -504,18 +505,6 @@ def two_block_triple(q: float = 0.5, block_positions=(0.6, 0.8),
     family = AtomFamily(q, atoms, list(atoms))
     bmap = BoundaryMap(family, z_block_unitary(t), np.eye(2 * n))
     return ExtensionTriple(family, window or _default_window(), bmap)
-
-
-CATALOG_KINDS = {
-    1: ("balanced single atom", "one atom per sign, aligned phases"),
-    2: ("skew single atom", "one atom per sign, unequal data and phases"),
-    3: ("transform-coupled distinct positions",
-        "distinct positions mixed by a Fourier block; irreducible"),
-    4: ("repeated position", "one position with multiplicity two; reducible"),
-    5: ("two contraction-coupled blocks",
-        "two repeated positions coupled by a Jordan-type contraction; "
-        "irreducible"),
-}
 
 
 def build_catalog_triple(kind: int,

@@ -14,27 +14,17 @@ import hashlib
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .classify import (
-    CATALOG_KINDS,
-    CommutantProblem,
-    IrreducibilityReport,
-    build_catalog_triple,
-    characterization_report,
-    irreducibility_report,
-    unitary_equivalent,
-    verify_representation,
-)
-from .extensions import (
-    BoundaryMap,
-    ExtensionTriple,
-    assemble,
-    verify_extension,
-)
-from .lattice import AtomFamily, Window
+from .catalog import CATALOG_KINDS
 from .parsing import ParseError, parse_to_element
-from .schrodinger import SchrodingerParams, verify_schrodinger
+
+if TYPE_CHECKING:
+    from .extensions import ExtensionTriple
+
+# Each command imports the modules it needs when it runs: numpy and the
+# numeric modules cost most of a cold start, and normal-form needs neither.
 
 
 class ConfigError(ValueError):
@@ -73,6 +63,9 @@ def load_config(path: str) -> dict:
 
 
 def triple_from_config(config: dict) -> ExtensionTriple:
+    from .extensions import BoundaryMap, ExtensionTriple
+    from .lattice import AtomFamily, Window
+
     for key in ("family", "window", "map"):
         if key not in config:
             raise ConfigError(f"/{key}: missing")
@@ -171,6 +164,9 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .classify import characterization_report, verify_representation
+    from .extensions import verify_extension
+
     config = load_config(args.config)
     triple = triple_from_config(config)
     tol = config_tol(config, 1e-12)
@@ -194,6 +190,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .extensions import assemble
+
     config = load_config(args.config)
     triple = triple_from_config(config)
     tol = config_tol(config, 1e-12)
@@ -214,10 +212,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import CommutantProblem, irreducibility_report
+
     config = load_config(args.config)
     triple = triple_from_config(config)
     problem = CommutantProblem.from_triple(triple)
-    result: IrreducibilityReport = irreducibility_report(problem)
+    result = irreducibility_report(problem)
     report = build_report(config, "pass", {
         "task": "classify",
         "verdict": "irreducible" if result.irreducible else "reducible",
@@ -228,6 +228,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .classify import CommutantProblem, unitary_equivalent
+
     config_a = load_config(args.config_a)
     config_b = load_config(args.config_b)
     triple_a = triple_from_config(config_a)
@@ -248,6 +250,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .classify import build_catalog_triple
+
     params = {}
     if args.q is not None:
         if not 0 < args.q < 1:
@@ -273,6 +277,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_schrodinger(args) -> int:
+    from .schrodinger import SchrodingerParams, verify_schrodinger
+
     if not 0 < args.q < 1:
         raise ConfigError(f"--q: must lie in (0, 1), got {args.q}")
     tol = default_tol(1e-10)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .adjoint import (
     BoundarySpaceView,
@@ -342,14 +341,13 @@ class AssembledOperator:
 
     def hermitian_matrix(self) -> np.ndarray:
         """The model matrix in an orthonormal basis: L^{-1} R L^{-*} for the
-        Cholesky factor gram = L L*."""
-        chol = np.linalg.cholesky(self.gram)
-        half = scipy.linalg.solve_triangular(chol, self.form, lower=True)
-        return scipy.linalg.solve_triangular(
-            chol, half.conj().T, lower=True).conj().T
+        Cholesky factor gram = L L* (the reduction of the generalized
+        Hermitian eigenproblem R v = lambda G v to a standard one)."""
+        inv = np.linalg.inv(np.linalg.cholesky(self.gram))
+        return inv @ self.form @ inv.conj().T
 
     def spectrum(self) -> np.ndarray:
-        return scipy.linalg.eigh(self.form, self.gram, eigvals_only=True)
+        return np.linalg.eigvalsh(self.hermitian_matrix())
 
     def site_label_indices(self) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab[0] == "site"]

@@ -8,9 +8,9 @@
 
 Whitespace is ignored.  `u^-1` is a single token (it parses to the inverse
 shift even though `^` otherwise binds an exponent), `q` is sugar for `s^2`,
-and a rational literal is one atom, so `5/2^2` squares 5/2.  Syntax errors
-carry the byte offset and the set of token kinds that would have been
-accepted there.
+and a rational literal is one atom, so `5/2^2` squares 5/2.  Parentheses
+nest at most MAX_DEPTH deep.  Syntax errors carry the byte offset and the
+set of token kinds that would have been accepted there.
 
 Trees are plain dataclasses; `to_text` prints them back in a form that
 reparses to an equal tree, and the printer of the algebra's normal forms
@@ -67,6 +67,10 @@ class Sum:
 
 Node = Num | Sym | Pow | Mul | Sum
 
+# each level of parentheses costs a few interpreter frames in the parser
+# and in evaluate, so deeper input would end in RecursionError
+MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<uinv>u\^-1(?!\d))
@@ -96,6 +100,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -180,8 +185,12 @@ class _Parser:
                 return Num(Fraction(int(value), int(dvalue)))
             return Num(Fraction(int(value)))
         if (kind, value) == ("op", "("):
+            if self.depth == MAX_DEPTH:
+                self.fail({f"at most {MAX_DEPTH} nested parentheses"})
             self.take()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         self.fail({"'p'", "'x'", "'u'", "'u^-1'", "'i'", "'s'", "'q'",

@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .extensions import VerificationCheck
 
@@ -229,16 +228,14 @@ def grid_residual(lhs: GaussianElement, rhs: GaussianElement,
 
 def inner_quadrature(f: GaussianElement, g: GaussianElement,
                      cutoff: float = 12.0) -> complex:
-    """Quadrature oracle for the inner product; the integrand decays like
-    e^{-2t^2}, so a cutoff of 12 is far past double precision."""
-    def integrand(t, part):
-        value = f.evaluate(t) * np.conj(g.evaluate(t))
-        return value.real if part == "re" else value.imag
-    re, _ = quad(integrand, -cutoff, cutoff, args=("re",),
-                 epsabs=1e-13, epsrel=1e-13, limit=300)
-    im, _ = quad(integrand, -cutoff, cutoff, args=("im",),
-                 epsabs=1e-13, epsrel=1e-13, limit=300)
-    return complex(re, im)
+    """Quadrature oracle for the inner product: the trapezoid rule on 481
+    equispaced nodes over [-cutoff, cutoff].  The integrand is entire and
+    decays like e^{-2t^2}, so a cutoff of 12 is far past double precision
+    and the rule converges exponentially in the node count (Trefethen and
+    Weideman, SIAM Review 2014)."""
+    t, step = np.linspace(-cutoff, cutoff, 481, retstep=True)
+    values = f.evaluate(t) * np.conj(g.evaluate(t))
+    return complex(step * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
 def random_packet(rng: random.Random, max_terms: int = 3) -> GaussianElement:

@@ -170,6 +170,17 @@ class TestMultiply:
         u = AlgebraElement.generator("u")
         assert u ** 3 == elem((mono("p", 0, 3), ONE))
 
+    def test_closed_form_u_powers_match_repeated_multiply(self):
+        coeffs = [ONE, I, S(3), ScalarQ.gauss(Fraction(-3, 2), 2, -1),
+                  S(1) + S(-2) + I, ScalarQ.rational(-5, 7)]
+        for coeff in coeffs:
+            for uexp in (-3, -1, 0, 1, 2):
+                base = elem((mono("p", 0, uexp), coeff))
+                expected = AlgebraElement.one()
+                for n in range(13):
+                    assert base ** n == expected, (coeff, uexp, n)
+                    expected = multiply(expected, base)
+
 
 class TestStar:
     def test_fixed_generators(self):

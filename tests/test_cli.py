@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,12 +18,13 @@ from qheis import __version__
 CLI = [sys.executable, "-m", "qheis.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     env.pop("QHEIS_TOL", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,24 @@ class TestNormalForm:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "syntax error at offset 3" in result.stderr
+
+    def test_deep_nesting_is_a_usage_error_without_traceback(self):
+        depth = 3000
+        result = run_cli("normal-form", "(" * depth + "p" + ")" * depth)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "nested parentheses" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_huge_power_of_u_answers_in_closed_form(self):
+        start = time.monotonic()
+        result = run_cli("normal-form", "--format", "text", "u^-100000000",
+                         timeout=10)
+        elapsed = time.monotonic() - start
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "u^-100000000\n"
+        assert elapsed < 1.0
 
 
 class TestConfigHandling:

@@ -22,6 +22,7 @@ from qheis.extensions import (
     verify_extension,
     z_block_unitary,
 )
+from qheis.classify import build_catalog_triple
 from qheis.lattice import Atom, AtomFamily, Window, basis_indices, matrix_of
 
 
@@ -259,6 +260,19 @@ class TestAssembly:
         model = assemble(triple)
         herm = np.linalg.eigvalsh(model.hermitian_matrix())
         assert np.allclose(vals, herm, atol=1e-8 * max(1.0, abs(vals).max()))
+
+    def test_spectrum_matches_unreduced_eigenproblem_on_catalog(self):
+        # independent of the Cholesky reduction: eigenvalues of G^{-1} R
+        rng = random.Random(31)
+        for kind in (1, 2, 3, 4, 5):
+            for _ in range(2):
+                q = round(rng.uniform(0.25, 0.6), 4)
+                model = assemble(build_catalog_triple(kind, {"q": q}))
+                vals = model.spectrum()
+                ref = np.sort(np.linalg.eigvals(
+                    np.linalg.solve(model.gram, model.form)).real)
+                radius = abs(ref).max()
+                assert np.max(np.abs(vals - ref)) <= 1e-10 * radius, (kind, q)
 
 
 class TestVerification:

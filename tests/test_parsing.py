@@ -12,6 +12,7 @@ from qheis.algebra import (
     random_element,
 )
 from qheis.parsing import (
+    MAX_DEPTH,
     Mul,
     Num,
     ParseError,
@@ -118,6 +119,20 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_expression("(p + x")
         assert "')'" in str(err.value)
+
+    def test_nesting_up_to_the_limit_evaluates(self):
+        outer = MAX_DEPTH - 1
+        text = "(" * outer + "p*(x - s)" + ")" * outer
+        tree = parse_expression(text)
+        assert parse_expression(to_text(tree)) == tree
+        assert evaluate(tree) == parse_to_element("p*x - s*p")
+
+    def test_nesting_beyond_the_limit_reports_its_offset(self):
+        for depth in (MAX_DEPTH + 1, 3000):
+            with pytest.raises(ParseError) as err:
+                parse_expression("(" * depth + "p" + ")" * depth)
+            assert err.value.offset == MAX_DEPTH
+            assert "nested parentheses" in str(err.value)
 
     def test_parse_error_is_a_value_error(self):
         with pytest.raises(ValueError):

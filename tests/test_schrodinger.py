@@ -102,6 +102,13 @@ class TestInnerProduct:
         g = GaussianElement.packet(2 - 1j)
         assert inner_quadrature(f, g) == pytest.approx(inner_gaussian(f, g), rel=1e-10)
 
+    def test_quadrature_matches_closed_form_on_random_pairs(self):
+        rng = random.Random(2024)
+        for _ in range(250):
+            f, g = random_packet(rng), random_packet(rng)
+            exact = inner_gaussian(f, g)
+            assert abs(inner_quadrature(f, g) - exact) <= 1e-12 * abs(exact)
+
     def test_norm_positive(self):
         rng = random.Random(9)
         f = random_packet(rng)
