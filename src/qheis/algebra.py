@@ -21,6 +21,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 GENERATOR_LETTERS = ("p", "x", "u", "u^-1")
 
+# Python 3.11+ refuses str() of an int beyond 4300 decimal digits, and 3.10
+# prints any size; normal forms holding a longer integer than this (about
+# 4200 digits) are refused by check_printable on either
+MAX_PRINT_BITS = 14_000
+
 
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -442,12 +447,17 @@ class AlgebraElement:
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
             raise ValueError("negative powers are not defined on elements")
-        if len(self._terms) == 1:
+        if n and len(self._terms) == 1:
             (mono, coeff), = self._terms.items()
-            if mono.power == 0:
-                # powers of u commute, so (c u^m)^n = c^n u^{mn}
-                return AlgebraElement({NormalMonomial("p", 0, mono.uexp * n):
-                                       _scalar_power(coeff, n)})
+            # u^m p^r = s^{2mr} p^r u^m and u^m x^k = s^{-2mk} x^k u^m; the
+            # n u^m factors pass n(n-1)/2 later p^r or x^k factors, so
+            # (c p^r u^m)^n = c^n s^{mrn(n-1)} p^{rn} u^{mn}, and the same
+            # with s^{-mkn(n-1)} for x^k
+            sign = 1 if mono.kind == "p" else -1
+            shift = sign * mono.uexp * mono.power * n * (n - 1)
+            return AlgebraElement({
+                NormalMonomial(mono.kind, mono.power * n, mono.uexp * n):
+                _scalar_power(coeff, n) * ScalarQ.s_power(shift)})
         out = AlgebraElement.one()
         for _ in range(n):
             out = multiply(out, self)
@@ -575,6 +585,22 @@ def reduce_all_orders(word: Sequence[str], coeff: ScalarQ | None = None,
 
     walk([(tuple(word), coeff)], AlgebraElement.zero(), [limit])
     return results
+
+
+def check_printable(element: AlgebraElement) -> None:
+    """Raise ValueError when the printed normal form would hold a
+    coefficient part or an exponent longer than MAX_PRINT_BITS bits."""
+    coeff_bits = max((x.bit_length() for c in element._terms.values()
+                      for g in c._terms.values() for part in (g.re, g.im)
+                      for x in (part.numerator, part.denominator)), default=0)
+    if coeff_bits > MAX_PRINT_BITS:
+        raise ValueError(f"coefficient too large to print: {coeff_bits} bits, "
+                         f"over the limit of {MAX_PRINT_BITS} bits")
+    exp_bits = max((e.bit_length() for m, c in element._terms.items()
+                    for e in (m.power, m.uexp, *c._terms)), default=0)
+    if exp_bits > MAX_PRINT_BITS:
+        raise ValueError(f"exponent too large to print: {exp_bits} bits, "
+                         f"over the limit of {MAX_PRINT_BITS} bits")
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

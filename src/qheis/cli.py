@@ -17,6 +17,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .algebra import check_printable
 from .catalog import CATALOG_KINDS
 from .parsing import ParseError, parse_to_element
 
@@ -146,6 +147,7 @@ def emit_report(report: dict, fmt: str, stream=None) -> None:
 
 def cmd_normal_form(args) -> int:
     element = parse_to_element(args.expression)
+    check_printable(element)
     terms = [{"monomial": str(mono), "coefficient": str(coeff)}
              for mono, coeff in element.items()]
     config = {"expression": args.expression}

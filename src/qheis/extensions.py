@@ -19,9 +19,12 @@ V', W' and the derived maps do the analytic work.
 
 ``assemble`` compresses the restricted operator to a finite model space:
 every lattice site strictly inside the window, plus one conforming tail
-remainder per minus atom and parity.  The model space sits inside the
-operator domain, so the compressed matrix is Hermitian up to rounding and
-its spectrum approximates the restriction's.
+remainder per minus atom and parity.  A remainder is a closed-form tail
+that starts at layer n_max, given by its point values on the two parity
+classes of layers, so the model's Gram and action matrices are built from
+a few array operations with no cancelling sums.  The model space sits
+inside the operator domain, so the compressed matrix is Hermitian up to
+rounding and its spectrum approximates the restriction's.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .adjoint import (
     apply_X_star,
     boundary_form,
 )
-from .lattice import AtomFamily, LatticeVector, Window, basis_indices
+from .lattice import AtomFamily, LatticeVector, Window, basis_indices, matrix_of
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -289,45 +292,36 @@ def random_domain_vector(triple: ExtensionTriple, rng,
     return f.scale(1.0 / f.norm())
 
 
-def _remainder_vector(triple: ExtensionTriple, parity: str, k: int) -> TailVector:
-    """Conforming tail pattern truncated to layers >= n_max: the canonical
-    tail with unit minus amplitude at atom k, made conforming on the plus
-    side, minus its own point values below the window top.  Orthogonal to
-    every site inside the window by construction."""
-    family, window = triple.family, triple.window
-    dim = len(family.minus)
-    unit = np.zeros(dim, dtype=complex)
-    unit[k] = 1.0
-    seed = TailVector.pure_tail(
-        family, window,
-        even={-1: unit} if parity == "even" else None,
-        odd={-1: unit} if parity == "odd" else None)
-    f = project_to_domain(seed, triple)
-    entries = {}
-    for sign in (+1, -1):
-        for j in range(len(family.atoms(sign))):
-            for n in range(max(0, window.n_min), window.n_max):
-                pv = f.tail_point_value(sign, j, n)
-                if pv != 0:
-                    entries[(sign, j, n)] = -pv * math.sqrt(
-                        family.weight(sign, j, n))
-    correction = LatticeVector(family, window, entries)
-    return TailVector(f.finite + correction, f.even, f.odd)
+def remainder_amplitudes(triple: ExtensionTriple) -> tuple[np.ndarray, np.ndarray]:
+    """Point values (A, B) of the conforming tail remainders: the unit
+    minus tail of each parity and minus atom, made conforming as in
+    ``project_to_domain`` and cut off below layer n_max.  Remainder c has
+    point value A[:, c] on layers n_max, n_max + 2, ... and B[:, c] on
+    n_max + 1, n_max + 3, ...; rows run over the plus atoms, then the minus
+    atoms, and columns over the even remainders, then the odd ones.
+    """
+    bmap = triple.bmap
+    dim = bmap.minus.dim
+    eye = np.eye(dim)
+    zero = np.zeros((dim, dim))
+    total, diff = (bmap.v + bmap.w) / 2.0, (bmap.v - bmap.w) / 2.0
+    even = np.block([[total, diff], [eye, zero]])
+    odd = np.block([[diff, total], [zero, eye]])
+    return (even, odd) if triple.window.n_max % 2 == 0 else (odd, even)
 
 
 @dataclass
 class AssembledOperator:
     """Finite Hermitian model of a self-adjoint restriction.
 
-    ``gram`` and ``form`` are the Gram and action matrices over ``basis``;
-    the orthonormalized matrix is Hermitian because the model space sits
-    inside the operator domain.  Labels name each basis vector: sites as
-    ("site", sign, j, n), tail remainders as ("tail", parity, k).
+    ``gram`` and ``form`` are the Gram and action matrices of the model
+    basis; the orthonormalized matrix is Hermitian because the model space
+    sits inside the operator domain.  Labels name each basis vector: sites
+    as ("site", sign, j, n), tail remainders as ("tail", parity, k).
     """
 
     triple: ExtensionTriple
     labels: list[tuple]
-    basis: list[TailVector]
     gram: np.ndarray
     form: np.ndarray
 
@@ -355,36 +349,52 @@ class AssembledOperator:
 
 def assemble(triple: ExtensionTriple) -> AssembledOperator:
     """Compress the restriction onto interior sites plus conforming tail
-    remainders.  All basis vectors lie in the operator domain, and the
-    adjoint images stay inside the window, so the compression is exact."""
+    remainders, with every matrix entry in closed form and no cancellation.
+
+    Sites are orthonormal, and the form's site block is X between them.  A
+    remainder (A, B) of ``remainder_amplitudes`` vanishes below N = n_max,
+    so it is orthogonal to the sites; remainders c, d have Gram entry
+    q^N / (1 - q^2) sum_j w_j (A_cj conj(A_dj) + q B_cj conj(B_dj)), and
+    each is normalized by its own.  X* r has point values (i / t_{N-1})(-A)
+    at layer N - 1 and (i / t_N)(-B) at layer N, and no others.
+    """
     family, window = triple.family, triple.window
-    basis: list[TailVector] = []
-    labels: list[tuple] = []
-    for sign, j, n in basis_indices(family, window, margin=1):
-        basis.append(TailVector.from_finite(
-            LatticeVector.basis_vector(family, window, sign, j, n)))
-        labels.append(("site", sign, j, n))
-    for parity in ("even", "odd"):
-        for k in range(len(family.minus)):
-            vec = _remainder_vector(triple, parity, k)
-            basis.append(vec.scale(1.0 / vec.norm()))
-            labels.append(("tail", parity, k))
+    q = family.q
+    full = basis_indices(family, window)
+    interior = [k for k, (_, _, n) in enumerate(full) if window.is_interior(n)]
+    labels = [("site",) + full[k] for k in interior]
+    n_sites = len(labels)
+    labels += [("tail", parity, k) for parity in ("even", "odd")
+               for k in range(len(family.minus))]
+    atoms = [(sign, atom) for sign in (+1, -1) for atom in family.atoms(sign)]
 
-    images = []
-    for vec, lab in zip(basis, labels):
-        img = apply_X_star(vec)
-        if img.finite.lost:
-            raise RuntimeError(f"adjoint image of {lab} left the window")
-        images.append(img)
+    # basis coefficients of the normalized remainders on layers N and N + 1;
+    # q^N cancels between the tail mass and the point masses
+    first, second = remainder_amplitudes(triple)
+    root_w = np.sqrt([atom.weight for _, atom in atoms])
+    alpha = root_w[:, None] * first
+    beta = math.sqrt(q) * root_w[:, None] * second
+    scale = np.sqrt((1.0 - q * q) / np.sum(
+        np.abs(alpha) ** 2 + np.abs(beta) ** 2, axis=0))
+    alpha, beta = alpha * scale, beta * scale
 
-    dim = len(basis)
-    gram = np.zeros((dim, dim), dtype=complex)
+    dim = len(labels)
+    gram = np.eye(dim, dtype=complex)
+    gram[n_sites:, n_sites:] = (alpha.conj().T @ alpha
+                                + beta.conj().T @ beta) / (1.0 - q * q)
     form = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        for row in range(dim):
-            gram[row, col] = basis[col].inner(basis[row])
-            form[row, col] = images[col].inner(basis[row])
-    return AssembledOperator(triple, labels, basis, gram, form)
+    form[:n_sites, :n_sites] = matrix_of("X", family, window)[
+        np.ix_(interior, interior)]
+    # X sends the site at layer N - 1 to layer N with coefficient
+    # (i / t_{N-1}) q^{-1/2}; the top interior site of atom i is the last
+    # of its block of window.length - 1 sites
+    up = 1j / (np.array([sign * atom.position for sign, atom in atoms])
+               * q ** (window.n_max - 1) * math.sqrt(q))
+    top = (np.arange(len(atoms)) + 1) * (window.length - 1) - 1
+    form[n_sites:, top] = (up[:, None] * alpha.conj()).T
+    form[top, n_sites:] = -up[:, None] * alpha
+    form[n_sites:, n_sites:] = -alpha.conj().T @ ((up / q)[:, None] * beta)
+    return AssembledOperator(triple, labels, gram, form)
 
 
 def spectrum(triple: ExtensionTriple) -> np.ndarray:

@@ -9,8 +9,9 @@
 Whitespace is ignored.  `u^-1` is a single token (it parses to the inverse
 shift even though `^` otherwise binds an exponent), `q` is sugar for `s^2`,
 and a rational literal is one atom, so `5/2^2` squares 5/2.  Parentheses
-nest at most MAX_DEPTH deep.  Syntax errors carry the byte offset and the
-set of token kinds that would have been accepted there.
+nest at most MAX_DEPTH deep and numbers have at most MAX_DIGITS digits.
+Syntax errors carry the byte offset and the set of token kinds that would
+have been accepted there.
 
 Trees are plain dataclasses; `to_text` prints them back in a form that
 reparses to an equal tree, and the printer of the algebra's normal forms
@@ -71,6 +72,10 @@ Node = Num | Sym | Pow | Mul | Sum
 # and in evaluate, so deeper input would end in RecursionError
 MAX_DEPTH = 100
 
+# int() of a longer digit string raises on Python 3.11+ but not on 3.10, so
+# the tokenizer refuses such literals itself
+MAX_DIGITS = 4000
+
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<uinv>u\^-1(?!\d))
@@ -90,6 +95,10 @@ def tokenize(text: str):
             raise ParseError(pos, {"a token"}, found=repr(text[pos]))
         pos = match.end()
         kind = match.lastgroup
+        if kind == "number" and pos - match.start() > MAX_DIGITS:
+            raise ParseError(match.start(),
+                             {f"a number of at most {MAX_DIGITS} digits"},
+                             found=f"{pos - match.start()} digits")
         if kind != "ws":
             tokens.append((kind, match.group(), match.start()))
     tokens.append(("end", "", len(text)))

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from qheis.algebra import (
+    MAX_PRINT_BITS,
     AlgebraElement,
     GaussianRational,
     NormalMonomial,
     ScalarQ,
+    check_printable,
     inverse_q_iso,
     multiply,
     random_element,
@@ -180,6 +182,38 @@ class TestMultiply:
                 for n in range(13):
                     assert base ** n == expected, (coeff, uexp, n)
                     expected = multiply(expected, base)
+
+    def test_closed_form_single_term_powers_frozen(self):
+        assert (elem((mono("p", 2, 3), ONE)) ** 3
+                == elem((mono("p", 6, 9), S(36))))
+        assert (elem((mono("x", 1, -2), ONE)) ** 4
+                == elem((mono("x", 4, -8), S(24))))
+
+    def test_closed_form_single_term_powers_match_repeated_multiply(self):
+        rng = random.Random(23)
+        coeffs = [ONE, I, S(-1), ScalarQ.gauss(Fraction(2, 3), -1, 2),
+                  S(1) - I * S(-1)]
+        for _ in range(12):
+            kind = rng.choice("px")
+            power = rng.randint(0 if kind == "p" else 1, 3)
+            uexp = rng.randint(-3, 3)
+            base = elem((mono(kind, power, uexp), rng.choice(coeffs)))
+            expected = AlgebraElement.one()
+            for n in range(13):
+                assert base ** n == expected, (base, n)
+                expected = multiply(expected, base)
+
+    def test_check_printable_names_the_size(self):
+        check_printable(elem((mono("p", 1, 0), ScalarQ.rational(2 ** 13999))))
+        check_printable(AlgebraElement.zero())
+        big = ScalarQ.rational(1, 2 ** MAX_PRINT_BITS)
+        with pytest.raises(ValueError, match=f"coefficient too large to "
+                           f"print: {MAX_PRINT_BITS + 1} bits"):
+            check_printable(elem((mono("x", 1, 0), big)))
+        with pytest.raises(ValueError, match="exponent too large"):
+            check_printable(elem((mono("p", 0, -2 ** MAX_PRINT_BITS), ONE)))
+        with pytest.raises(ValueError, match="exponent too large"):
+            check_printable(elem((mono("p", 1, 0), S(2 ** MAX_PRINT_BITS))))
 
 
 class TestStar:

@@ -1,0 +1,244 @@
+"""The array-backed ``assemble`` against slow references.
+
+``reference_assemble`` is the entry-by-entry assembly over TailVector
+arithmetic: each remainder is a full conforming tail minus its own point
+values below the window top, and every Gram and form entry is one
+``TailVector.inner``.  Its remainder norms are an O(1) tail mass minus an
+almost equal finite sum, so it is only trusted where q^n_max >= 1e-5.  The
+remainder Gram is also checked at every height against direct summation of
+point values, in floats and in exact rationals.
+"""
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qheis.adjoint import TailVector, apply_X_star
+from qheis.classify import build_catalog_triple
+from qheis.extensions import (
+    BoundaryMap,
+    ExtensionTriple,
+    assemble,
+    project_to_domain,
+    remainder_amplitudes,
+)
+from qheis.lattice import Atom, AtomFamily, LatticeVector, Window, basis_indices
+
+# (kind, q, n_max): the six heights at which the entry-by-entry assembly
+# divided by a remainder norm that had cancelled to zero
+DEFECT_CASES = [(kind, q, n_max) for kind in (1, 3)
+                for q, n_max in ((0.2, 24), (0.3, 30), (0.5, 60))]
+
+
+def reference_remainder(triple, parity, k):
+    """Conforming tail pattern truncated to layers >= n_max."""
+    family, window = triple.family, triple.window
+    unit = np.zeros(len(family.minus), dtype=complex)
+    unit[k] = 1.0
+    seed = TailVector.pure_tail(
+        family, window,
+        even={-1: unit} if parity == "even" else None,
+        odd={-1: unit} if parity == "odd" else None)
+    f = project_to_domain(seed, triple)
+    entries = {}
+    for sign in (+1, -1):
+        for j in range(len(family.atoms(sign))):
+            for n in range(max(0, window.n_min), window.n_max):
+                pv = f.tail_point_value(sign, j, n)
+                if pv != 0:
+                    entries[(sign, j, n)] = -pv * math.sqrt(
+                        family.weight(sign, j, n))
+    correction = LatticeVector(family, window, entries)
+    return TailVector(f.finite + correction, f.even, f.odd)
+
+
+def reference_assemble(triple):
+    """(labels, gram, form) with one TailVector.inner per entry."""
+    family, window = triple.family, triple.window
+    basis, labels = [], []
+    for sign, j, n in basis_indices(family, window, margin=1):
+        basis.append(TailVector.from_finite(
+            LatticeVector.basis_vector(family, window, sign, j, n)))
+        labels.append(("site", sign, j, n))
+    for parity in ("even", "odd"):
+        for k in range(len(family.minus)):
+            vec = reference_remainder(triple, parity, k)
+            basis.append(vec.scale(1.0 / vec.norm()))
+            labels.append(("tail", parity, k))
+    images = [apply_X_star(vec) for vec in basis]
+    assert not any(img.finite.lost for img in images)
+    dim = len(basis)
+    gram = np.zeros((dim, dim), dtype=complex)
+    form = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        for row in range(dim):
+            gram[row, col] = basis[col].inner(basis[row])
+            form[row, col] = images[col].inner(basis[row])
+    return labels, gram, form
+
+
+def spectrum_of(gram, form):
+    inv = np.linalg.inv(np.linalg.cholesky(gram))
+    return np.linalg.eigvalsh(inv @ form @ inv.conj().T)
+
+
+def oracle_amplitudes(triple):
+    """Per remainder: (even, odd) point-value arrays over plus then minus
+    atoms, from project_to_domain on a unit minus tail."""
+    family, window = triple.family, triple.window
+    out = []
+    for parity in ("even", "odd"):
+        for k in range(len(family.minus)):
+            unit = np.zeros(len(family.minus), dtype=complex)
+            unit[k] = 1.0
+            f = project_to_domain(TailVector.pure_tail(
+                family, window,
+                even={-1: unit} if parity == "even" else None,
+                odd={-1: unit} if parity == "odd" else None), triple)
+            out.append((np.concatenate([f.even[+1], f.even[-1]]),
+                        np.concatenate([f.odd[+1], f.odd[-1]])))
+    return out
+
+
+def summed_gram(triple):
+    """Remainder Gram by direct summation of point values over layers
+    n_max ... n_max + L with q^L < 1e-20: only positive terms of one
+    geometric series, no subtraction."""
+    family, window = triple.family, triple.window
+    q = family.q
+    amplitudes = oracle_amplitudes(triple)
+    weights = np.array([a.weight for s in (+1, -1) for a in family.atoms(s)])
+    extra = int(math.ceil(20 * math.log(10) / -math.log(q))) + 1
+    gram = np.zeros((len(amplitudes),) * 2, dtype=complex)
+    for n in range(window.n_max, window.n_max + extra + 1):
+        values = np.array([even if n % 2 == 0 else odd
+                           for even, odd in amplitudes])
+        gram += (weights * q ** n * values) @ values.conj().T
+    return gram.T
+
+
+def normalized(gram):
+    scale = 1.0 / np.sqrt(np.diag(gram).real)
+    return scale[:, None] * gram * scale[None, :]
+
+
+def catalog(kind, q, n_max, n_min=-6):
+    return build_catalog_triple(
+        kind, {"q": q, "window": {"n_min": n_min, "n_max": n_max}})
+
+
+def relative_gap(new, old):
+    return float(np.linalg.norm(new - old) / np.linalg.norm(old))
+
+
+def oracle_configs():
+    """Catalog kinds 1-5 over seeded q and heights with q^n_max >= 1e-5."""
+    rng = random.Random(41)
+    configs = []
+    for kind in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            q = rng.uniform(0.25, 0.55)
+            top = min(int(math.log(1e-5) / math.log(q)), 10)
+            configs.append((kind, q, rng.randint(0, top)))
+    return configs
+
+
+@pytest.mark.parametrize("kind,q,n_max", oracle_configs())
+def test_matches_reference_assembly(kind, q, n_max):
+    triple = catalog(kind, q, n_max, n_min=-4)
+    assert q ** n_max >= 1e-5
+    model = assemble(triple)
+    labels, gram, form = reference_assemble(triple)
+    assert model.labels == labels
+    assert relative_gap(model.gram, gram) <= 1e-10
+    assert relative_gap(model.form, form) <= 1e-10
+    ref = spectrum_of(gram, form)
+    radius = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(model.spectrum() - ref)) <= 1e-10 * radius
+
+
+def test_remainder_amplitudes_match_projection():
+    for kind in (1, 2, 3, 4, 5):
+        for n_max in (7, 8):
+            triple = catalog(kind, 0.4, n_max)
+            first, second = remainder_amplitudes(triple)
+            for c, (even, odd) in enumerate(oracle_amplitudes(triple)):
+                a, b = (even, odd) if n_max % 2 == 0 else (odd, even)
+                assert np.allclose(first[:, c], a, rtol=0, atol=1e-15)
+                assert np.allclose(second[:, c], b, rtol=0, atol=1e-15)
+
+
+HEIGHTS = [(kind, q, n_max) for kind in (1, 2, 3, 4, 5)
+           for q, n_max in ((0.45, 6), (0.3, 13), (0.4, 25))] + DEFECT_CASES
+
+
+@pytest.mark.parametrize("kind,q,n_max", HEIGHTS)
+def test_remainder_gram_matches_direct_sums(kind, q, n_max):
+    triple = catalog(kind, q, n_max)
+    model = assemble(triple)
+    tails = [i for i, lab in enumerate(model.labels) if lab[0] == "tail"]
+    sites = model.site_label_indices()
+    want = normalized(summed_gram(triple))
+    got = model.gram[np.ix_(tails, tails)]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(model.gram[np.ix_(sites, tails)] == 0)
+
+
+def exact_gram(q, n_max, weights, amplitudes, extra):
+    """The summed Gram in exact rationals: amplitudes as (re, im) pairs of
+    Fractions, layers n_max ... n_max + extra."""
+    size = len(amplitudes)
+    gram = [[(Fraction(0), Fraction(0))] * size for _ in range(size)]
+    for n in range(n_max, n_max + extra + 1):
+        for r in range(size):
+            for c in range(size):
+                re, im = gram[r][c]
+                for w, x, y in zip(weights, amplitudes[c][n % 2],
+                                   amplitudes[r][n % 2]):
+                    mass = w * q ** n
+                    # x conj(y) for x = (a, b), y = (e, f)
+                    re += mass * (x[0] * y[0] + x[1] * y[1])
+                    im += mass * (x[1] * y[0] - x[0] * y[1])
+                gram[r][c] = (re, im)
+    return np.array([[complex(float(re), float(im)) for re, im in row]
+                     for row in gram])
+
+
+def rational_triple(q, n_max):
+    """Two atoms at one position per sign with rational boundary
+    matrices (unitaries over 2, a weight isometry from w+ = 4 to w- = 1),
+    so every remainder amplitude is rational."""
+    family = AtomFamily(q, [Atom(0.75, 4.0), Atom(0.75, 4.0)],
+                        [Atom(0.75), Atom(0.75)])
+    vprime = np.array([[0.3, 0.4j], [0.4j, 0.3]])
+    wprime = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    return ExtensionTriple(family, Window(-3, n_max),
+                           BoundaryMap(family, vprime, wprime))
+
+
+@pytest.mark.parametrize("q,n_max", [(0.25, 8), (0.25, 30), (0.2, 24),
+                                     (0.5, 60), (0.375, 41)])
+def test_remainder_gram_matches_exact_rationals(q, n_max):
+    triple = rational_triple(q, n_max)
+    first, second = remainder_amplitudes(triple)
+    parity = {n_max % 2: first, (n_max + 1) % 2: second}
+    amplitudes = []
+    for c in range(first.shape[1]):
+        by_parity = {}
+        for par, mat in parity.items():
+            # Fraction(float) is exact: the sums see the inputs the
+            # float path sees
+            by_parity[par] = [(Fraction(z.real), Fraction(z.imag))
+                              for z in mat[:, c]]
+        amplitudes.append(by_parity)
+    weights = [Fraction(4), Fraction(4), Fraction(1), Fraction(1)]
+    extra = int(math.ceil(20 * math.log(10) / -math.log(q))) + 1
+    exact = exact_gram(Fraction(q), n_max, weights, amplitudes, extra)
+    model = assemble(triple)
+    tails = [i for i, lab in enumerate(model.labels) if lab[0] == "tail"]
+    want = normalized(exact)
+    got = model.gram[np.ix_(tails, tails)]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert model.hermiticity_residual() <= 1e-12

@@ -86,6 +86,32 @@ class TestNormalForm:
         assert result.stdout == "u^-100000000\n"
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("expression,expected", [
+        ("p^100000", "p^100000"),
+        ("(p*u)^3000", "s^8997000*p^3000*u^3000"),
+    ])
+    def test_single_term_powers_answer_in_closed_form(self, expression,
+                                                      expected):
+        start = time.monotonic()
+        result = run_cli("normal-form", "--format", "text", expression,
+                         timeout=10)
+        elapsed = time.monotonic() - start
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected + "\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("expression,message", [
+        ("2^100000", "coefficient too large to print: 100001 bits"),
+        ("7" * 4001, "at most 4000 digits, found 4001 digits"),
+    ])
+    def test_oversized_numbers_are_usage_errors(self, expression, message):
+        result = run_cli("normal-form", expression, timeout=10)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestConfigHandling:
     def test_missing_file_exits_with_usage_code(self):
@@ -191,6 +217,21 @@ class TestSpectrum:
         assert len(eigs) == report["dim"]
         assert eigs == sorted(eigs)
         assert report["hermiticity_residual"] < 1e-12
+
+    @pytest.mark.parametrize("kind", (1, 3))
+    @pytest.mark.parametrize("q,n_max", ((0.2, 24), (0.3, 30), (0.5, 60)))
+    def test_high_windows_pass_spectrum_and_verify(self, kind, q, n_max,
+                                                   tmp_path):
+        example = run_cli("example", "--kind", str(kind), "--q", str(q))
+        config = json.loads(example.stdout)
+        config["window"]["n_max"] = n_max
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps(config))
+        for command in ("spectrum", "verify"):
+            result = run_cli(command, "--config", str(path))
+            assert result.returncode == 0, result.stderr
+            assert "Traceback" not in result.stderr
+            assert json.loads(result.stdout)["status"] == "pass"
 
 
 class TestClassify:

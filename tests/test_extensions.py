@@ -274,6 +274,19 @@ class TestAssembly:
                 radius = abs(ref).max()
                 assert np.max(np.abs(vals - ref)) <= 1e-10 * radius, (kind, q)
 
+    @pytest.mark.parametrize("kind", (1, 3))
+    @pytest.mark.parametrize("q,n_max", ((0.2, 24), (0.3, 30), (0.5, 60)))
+    def test_high_windows_assemble(self, kind, q, n_max):
+        # the remainder norms once cancelled to zero at these heights
+        triple = build_catalog_triple(
+            kind, {"q": q, "window": {"n_min": -6, "n_max": n_max}})
+        model = assemble(triple)
+        assert model.hermiticity_residual() <= 1e-12
+        assert np.all(np.isfinite(model.spectrum()))
+        tails = [i for i, lab in enumerate(model.labels) if lab[0] == "tail"]
+        assert np.allclose(np.diag(model.gram)[tails], 1.0, rtol=0,
+                           atol=1e-15)
+
 
 class TestVerification:
     def test_good_triple_passes(self):

@@ -13,6 +13,7 @@ from qheis.algebra import (
 )
 from qheis.parsing import (
     MAX_DEPTH,
+    MAX_DIGITS,
     Mul,
     Num,
     ParseError,
@@ -133,6 +134,17 @@ class TestParseErrors:
                 parse_expression("(" * depth + "p" + ")" * depth)
             assert err.value.offset == MAX_DEPTH
             assert "nested parentheses" in str(err.value)
+
+    def test_number_length_is_capped(self):
+        longest = "7" * MAX_DIGITS
+        assert parse_expression(longest) == Num(Fraction(int(longest)))
+        for text, offset in (("7" * (MAX_DIGITS + 1), 0),
+                             ("p^" + "9" * (MAX_DIGITS + 5), 2),
+                             ("1/" + "3" * (MAX_DIGITS + 1), 2)):
+            with pytest.raises(ParseError) as err:
+                parse_expression(text)
+            assert err.value.offset == offset
+            assert f"at most {MAX_DIGITS} digits" in str(err.value)
 
     def test_parse_error_is_a_value_error(self):
         with pytest.raises(ValueError):
