@@ -25,7 +25,7 @@ def run(*args):
     return result
 
 
-# normal-form: exact rewriting from the surface syntax.
+# normal-form: exact normal forms from the surface syntax.
 out = run("normal-form", "x*p")
 print(" ", json.loads(out.stdout)["normal_form"])
 

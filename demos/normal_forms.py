@@ -2,10 +2,12 @@
 Exact normal forms in the deformed algebra
 ==========================================
 
-Every word in the generators p, x, u, u^-1 rewrites to a unique
+Every word in the generators p, x, u, u^-1 has a unique normal form: a
 combination of basis monomials p^r u^n and x^k u^n, with coefficients
 kept exact as Laurent polynomials in the square root s of the
-deformation parameter.
+deformation parameter.  `reduce` folds the letters in from the left, each
+step in closed form; the rewrite system it replaces remains as the
+confluence oracle, run by `reduce_all_orders` and `reduce(..., rng=)`.
 """
 
 import random
@@ -25,7 +27,8 @@ print("p*x  ->", reduce(["p", "x"]))
 print("x*p  ->", reduce(["x", "p"]))
 
 # Rewriting is confluent: every admissible rule order gives the same
-# element. For a short word we can afford to enumerate all of them.
+# element, the one the fold gives. For a short word we can afford to
+# enumerate all of them.
 word = ["x", "p", "u", "x"]
 outcomes = reduce_all_orders(word)
 print("distinct outcomes for", "".join(word), "->", len(outcomes))

@@ -8,13 +8,19 @@ polynomials in s (s^2 = q) with Gaussian-rational coefficients, subject to
     x p = i s^-1 u^-1 - i s u
 
 Every element has a unique normal form: a scalar combination of monomials
-p^r u^n (r >= 0) and x^k u^n (k >= 1), n any integer.  All arithmetic here is
-exact; nothing in this module touches floating point except ScalarQ.evaluate.
+p^r u^n (r >= 0) and x^k u^n (k >= 1), n any integer.  Normal forms come
+from a left fold over the letters of a word, each step a normal monomial
+times one letter in closed form; products and the involution use the same
+closed forms.  The rewrite system of the relations remains as the
+confluence oracle (reduce with an rng, reduce_all_orders).  All arithmetic
+here is exact; nothing in this module touches floating point except
+ScalarQ.evaluate and the size bound of check_power_printable.
 
 Objects are immutable by convention: operations return new values.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -447,6 +453,8 @@ class AlgebraElement:
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
             raise ValueError("negative powers are not defined on elements")
+        if n and not self._terms:
+            return self
         if n and len(self._terms) == 1:
             (mono, coeff), = self._terms.items()
             # u^m p^r = s^{2mr} p^r u^m and u^m x^k = s^{-2mk} x^k u^m; the
@@ -492,8 +500,10 @@ class AlgebraElement:
         return f"AlgebraElement({self})"
 
 
-# The rewrite system.  Each adjacent pair maps to a list of (scalar, letters)
-# replacements; the two mixed pairs split into a sum of two u-monomials.
+# The rewrite system, kept as the confluence oracle behind reduce(..., rng=)
+# and reduce_all_orders.  Each adjacent pair maps to a list of (scalar,
+# letters) replacements; the two mixed pairs split into a sum of two
+# u-monomials.
 _PAIR_RULES: dict[tuple[str, str], list[tuple[ScalarQ, tuple[str, ...]]]] = {
     ("u", "p"): [(_S(2), ("p", "u"))],
     ("u^-1", "p"): [(_S(-2), ("p", "u^-1"))],
@@ -521,20 +531,109 @@ def _classify_normal(word: tuple[str, ...]) -> NormalMonomial:
     return NormalMonomial("p", r, n)
 
 
+# The letter fold.  A fold state maps monomial keys (kind, power, uexp) to
+# coefficients {s exponent: GaussianRational}.  A normal monomial times one
+# letter is one or two monomials, each times i^k s^e (k in 0..3), so a fold
+# step only shifts exponent keys and swaps or negates real and imaginary
+# parts.  The rewrite system is confluent (Bergman's diamond lemma), so
+# this order of applying the relations gives the same normal form as any.
+
+_UNIT_KEY = ("p", 0, 0)
+_U_SHIFT = {"u": 1, "u^-1": -1}
+
+
+def _times_letter(key: tuple[str, int, int], letter: str):
+    """key * letter as (key, k, e) triples, each meaning i^k s^e key."""
+    kind, power, n = key
+    if letter == kind or (letter == "x" and not power):
+        # u^n p = s^2n p u^n and u^n x = s^-2n x u^n
+        return (((letter, power + 1, n), 0, 2 * n if letter == "p" else -2 * n),)
+    # p^r u^n x = s^-2n p^(r-1) (p x) u^n with p x = i s u^-1 - i s^-1 u;
+    # x^k u^n p = s^2n x^(k-1) (x p) u^n with x p = i s^-1 u^-1 - i s u
+    low = kind if power > 1 else "p"
+    e, t = (-2 * n, 1) if kind == "p" else (2 * n, -1)
+    return (((low, power - 1, n - 1), 1, e + t),
+            ((low, power - 1, n + 1), 3, e - t))
+
+
+def _times_i_power(c: GaussianRational, k: int) -> GaussianRational:
+    if k == 0:
+        return c
+    if k == 1:
+        return GaussianRational(-c.im, c.re)
+    if k == 2:
+        return GaussianRational(-c.re, -c.im)
+    return GaussianRational(c.im, -c.re)
+
+
+def _unit_shift(coeff: Mapping[int, GaussianRational], k: int,
+                e: int) -> dict[int, GaussianRational]:
+    """The coefficient map of i^k s^e times coeff, as a new dict."""
+    return {d + e: _times_i_power(c, k) for d, c in coeff.items()}
+
+
+def _i_power_of(c: GaussianRational) -> int | None:
+    """k with c = i^k, or None when c is not a unit."""
+    if not c.im:
+        return 0 if c.re == 1 else 2 if c.re == -1 else None
+    if not c.re:
+        return 1 if c.im == 1 else 3 if c.im == -1 else None
+    return None
+
+
+def _accumulate(out: dict, key, coeff: Mapping[int, GaussianRational],
+                k: int, e: int) -> None:
+    """out[key] += i^k s^e coeff.  Every dict stored in out is owned by out,
+    so merging into it never touches a caller's coefficients."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = _unit_shift(coeff, k, e)
+        return
+    for d, c in coeff.items():
+        d += e
+        c = _times_i_power(c, k)
+        old = acc.get(d)
+        acc[d] = c if old is None else old + c
+
+
+def _fold(state: dict, letters: Iterable[str]) -> dict:
+    """Multiply a fold state on the right by each letter in turn."""
+    for letter in letters:
+        if letter in _U_SHIFT:
+            d = _U_SHIFT[letter]
+            state = {(kind, power, n + d): c
+                     for (kind, power, n), c in state.items()}
+            continue
+        out: dict = {}
+        for key, coeff in state.items():
+            for new_key, k, e in _times_letter(key, letter):
+                _accumulate(out, new_key, coeff, k, e)
+        state = out
+    return state
+
+
+def _element(state: dict) -> AlgebraElement:
+    return AlgebraElement({NormalMonomial(*key): ScalarQ(coeff)
+                           for key, coeff in state.items()})
+
+
 def reduce(word: Sequence[str], coeff: ScalarQ | None = None,
            rng: random.Random | None = None) -> AlgebraElement:
-    """Rewrite a free word to its normal form.
+    """The normal form of coeff times a free word.
 
-    By default rules are applied at the leftmost admissible position.  Passing
-    an rng picks a random admissible position at every step instead; the basis
-    property of the normal form means the result must not depend on the order,
-    which the tests exercise directly.
+    By default the letters are folded in from the left in closed form.
+    Passing an rng runs the rewrite system instead, applying a rule at a
+    random admissible position at every step; the basis property of the
+    normal form means the result must not depend on the order, which the
+    tests exercise directly.
     """
     for letter in word:
         if letter not in GENERATOR_LETTERS:
             raise ValueError(f"unknown letter {letter!r}")
     if coeff is None:
         coeff = _ONE
+    if rng is None:
+        return _element(_fold({_UNIT_KEY: coeff._terms}, word))
     acc: dict[NormalMonomial, ScalarQ] = {}
     stack: list[tuple[tuple[str, ...], ScalarQ]] = [(tuple(word), coeff)]
     while stack:
@@ -547,7 +646,7 @@ def reduce(word: Sequence[str], coeff: ScalarQ | None = None,
             old = acc.get(m)
             acc[m] = c if old is None else old + c
             continue
-        pos = rng.choice(positions) if rng is not None else positions[0]
+        pos = rng.choice(positions)
         for factor, repl in _PAIR_RULES[(w[pos], w[pos + 1])]:
             stack.append((w[:pos] + repl + w[pos + 2:], c * factor))
     return AlgebraElement(acc)
@@ -603,30 +702,84 @@ def check_printable(element: AlgebraElement) -> None:
                          f"over the limit of {MAX_PRINT_BITS} bits")
 
 
+def _log2_abs(g: GaussianRational) -> float:
+    norm = g.re * g.re + g.im * g.im
+    return (math.log2(norm.numerator) - math.log2(norm.denominator)) / 2
+
+
+def check_power_printable(element: AlgebraElement, n: int) -> None:
+    """Raise ValueError, before element ** n is computed, when a lower bound
+    on the longest coefficient part of the power of a single term c*m is
+    over MAX_PRINT_BITS bits, so nothing check_printable passes is refused.
+
+    The lowest and highest coefficients of c^n are g^n for those g of c.  A
+    part of g^n has a numerator (|g| > 1) or a denominator (|g| < 1) of at
+    least n*|log2 |g|| bits, and a denominator of more than n/2 bits when g
+    is not a Gaussian integer; a rational g = a/b gives exactly a^n/b^n,
+    and x >= 2^(bits - 1).  The values of c^n at s = 1 and s = -1 are
+    signed sums of its coefficients, of which there are at most
+    n*(spread of the s exponents of c) + 1.
+    """
+    if n < 2 or len(element._terms) != 1:
+        return
+    (coeff,) = element._terms.values()
+    low, high = min(coeff._terms), max(coeff._terms)
+    nf = float(min(n, 1 << 1000))
+    bound = 0.0
+    for g in (coeff._terms[low], coeff._terms[high]):
+        bound = max(bound, nf * abs(_log2_abs(g)) - 1)
+        if g.im:
+            if g.re.denominator > 1 or g.im.denominator > 1:
+                bound = max(bound, nf / 2)
+        else:
+            for x in (g.re.numerator, g.re.denominator):
+                bound = max(bound, n * (abs(x).bit_length() - 1) + 1)
+    log2_count = math.log2(n * (high - low) + 1)
+    for sign in (1, -1):
+        value = sum((-g if sign < 0 and e % 2 else g
+                     for e, g in coeff._terms.items()), _GR_ZERO)
+        if value:
+            bound = max(bound, nf * _log2_abs(value) - log2_count - 1)
+    if bound > MAX_PRINT_BITS:
+        raise ValueError(f"coefficient too large to print: "
+                         f"{math.ceil(bound)} bits or more, over the limit "
+                         f"of {MAX_PRINT_BITS} bits")
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product in the algebra: concatenate representing words and reduce."""
-    acc: dict[NormalMonomial, ScalarQ] = {}
-    for ma, ca in a._terms.items():
-        wa = ma.word()
-        for mb, cb in b._terms.items():
-            piece = reduce(wa + mb.word(), ca * cb)
-            for m, c in piece._terms.items():
-                old = acc.get(m)
-                acc[m] = c if old is None else old + c
-    return AlgebraElement(acc)
-
-
-_STAR_LETTER = {"p": "p", "x": "x", "u": "u^-1", "u^-1": "u"}
+    """Product in the algebra: each monomial of b is folded, letter by
+    letter, into the normal form of a, then scaled by its coefficient
+    (scalars are central)."""
+    start = {(m.kind, m.power, m.uexp): c._terms for m, c in a._terms.items()}
+    acc: dict = {}
+    for mb, cb in b._terms.items():
+        piece = _fold(start, (mb.kind,) * mb.power)
+        for (kind, power, n), coeff in piece.items():
+            key = (kind, power, n + mb.uexp)
+            for e, g in cb._terms.items():
+                k = _i_power_of(g)
+                if k is not None:
+                    _accumulate(acc, key, coeff, k, e)
+                    continue
+                target = acc.setdefault(key, {})
+                for d, c in coeff.items():
+                    prod = c * g
+                    old = target.get(d + e)
+                    target[d + e] = prod if old is None else old + prod
+    return _element(acc)
 
 
 def star(a: AlgebraElement) -> AlgebraElement:
     """The involution: antilinear, reverses products, fixes p and x, and
-    sends u to u^-1.  Coefficients are conjugated; s itself is real."""
-    out = AlgebraElement.zero()
+    sends u to u^-1.  Coefficients are conjugated; s itself is real.  Per
+    term, (c p^r u^n)* = u^-n p^r c* = c* s^(-2nr) p^r u^-n, and
+    (c x^k u^n)* = c* s^(2nk) x^k u^-n."""
+    terms = {}
     for m, c in a._terms.items():
-        rev = tuple(_STAR_LETTER[letter] for letter in reversed(m.word()))
-        out = out + reduce(rev, c.conjugate())
-    return out
+        shift = (-2 if m.kind == "p" else 2) * m.uexp * m.power
+        terms[NormalMonomial(m.kind, m.power, -m.uexp)] = ScalarQ(
+            {e + shift: g.conjugate() for e, g in c._terms.items()})
+    return AlgebraElement(terms)
 
 
 def inverse_q_iso(a: AlgebraElement, which: int) -> AlgebraElement:

@@ -56,7 +56,7 @@ def load_config(path: str) -> dict:
             data = json.load(handle)
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror or err}")
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: invalid JSON: {err}")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: /: expected an object")
@@ -74,16 +74,16 @@ def triple_from_config(config: dict) -> ExtensionTriple:
             raise ConfigError(f"/{key}: expected an object")
     try:
         family = AtomFamily.from_json(config["family"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"/family: {err}")
     try:
         window = Window.from_json(config["window"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"/window: {err}")
     try:
         bmap = BoundaryMap.from_json(config["map"], family)
         return ExtensionTriple(family, window, bmap)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"/map: {err}")
 
 

@@ -151,10 +151,15 @@ class BoundaryMap:
             return make_boundary_map(
                 family, phases=(float(ph["v"]), float(ph["w"])),
                 validate=validate)
+        def entry(c):
+            if not isinstance(c, dict):
+                raise TypeError(f"matrix entries are {{re, im}} objects, "
+                                f"got {c!r}")
+            return complex(float(c.get("re", 0.0)), float(c.get("im", 0.0)))
+
         def parse(rows):
-            return np.array([[complex(float(c.get("re", 0.0)),
-                                      float(c.get("im", 0.0))) for c in row]
-                             for row in rows], dtype=complex)
+            return np.array([[entry(c) for c in row] for row in rows],
+                            dtype=complex)
         return cls(family, parse(data["Vprime"]), parse(data["Wprime"]),
                    validate=validate)
 

@@ -24,7 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, NormalMonomial, ScalarQ
+from .algebra import (AlgebraElement, NormalMonomial, ScalarQ,
+                      check_power_printable)
 
 
 class ParseError(ValueError):
@@ -190,6 +191,8 @@ class _Parser:
                 dkind, dvalue, _ = self.peek()
                 if dkind != "number":
                     self.fail({"a denominator"})
+                if not int(dvalue):
+                    self.fail({"a nonzero denominator"})
                 self.take()
                 return Num(Fraction(int(value), int(dvalue)))
             return Num(Fraction(int(value)))
@@ -254,6 +257,8 @@ def _invert(element: AlgebraElement) -> AlgebraElement:
     """Inverse of a scalar monomial times a power of u; everything else has
     no inverse in the algebra."""
     terms = list(element.items())
+    if not terms:
+        raise ValueError("0 has no inverse")
     if len(terms) != 1:
         raise ValueError("cannot invert a sum in the algebra")
     mono, coeff = terms[0]
@@ -282,9 +287,10 @@ def evaluate(node: Node) -> AlgebraElement:
         raise ValueError(f"unknown symbol {node.name!r}")
     if isinstance(node, Pow):
         base = evaluate(node.base)
-        if node.exponent >= 0:
-            return base ** node.exponent
-        return _invert(base) ** (-node.exponent)
+        if node.exponent < 0:
+            base = _invert(base)
+        check_power_printable(base, abs(node.exponent))
+        return base ** abs(node.exponent)
     if isinstance(node, Mul):
         out = AlgebraElement.one()
         for factor in node.factors:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from qheis.algebra import (
     GaussianRational,
     NormalMonomial,
     ScalarQ,
+    _i_power_of,
+    _unit_shift,
     check_printable,
     inverse_q_iso,
     multiply,
@@ -20,6 +23,9 @@ from qheis.algebra import (
     reduce_all_orders,
     star,
 )
+
+# the letters of a word under the involution, which also reverses it
+STAR_LETTER = {"p": "p", "x": "x", "u": "u^-1", "u^-1": "u"}
 
 I = ScalarQ.i()
 ONE = ScalarQ.one()
@@ -35,6 +41,26 @@ def elem(*pairs) -> AlgebraElement:
 
 def mono(kind, power, uexp) -> NormalMonomial:
     return NormalMonomial(kind, power, uexp)
+
+
+def random_scalar(rng: random.Random) -> ScalarQ:
+    """One to three terms with rational, mostly non-unit parts."""
+    return ScalarQ({rng.randint(-3, 3): GaussianRational(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 3))})
+
+
+def rich_element(rng: random.Random) -> AlgebraElement:
+    """Up to four monomials with unit, rational or multi-term scalars."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice("px")
+        m = mono(kind, rng.randint(0 if kind == "p" else 1, 3),
+                 rng.randint(-3, 3))
+        terms[m] = rng.choice((I, -ONE, S(rng.randint(-2, 2)),
+                               random_scalar(rng)))
+    return AlgebraElement(terms)
 
 
 class TestScalars:
@@ -62,6 +88,20 @@ class TestScalars:
     def test_evaluate(self):
         val = (I * S(2)).evaluate(0.5)
         assert abs(val - 0.25j) < 1e-15
+
+    def test_unit_shift_matches_scalar_product(self):
+        rng = random.Random(31)
+        units = (ONE, I, -ONE, -I)
+        for _ in range(50):
+            c = random_scalar(rng)
+            for k, unit in enumerate(units):
+                assert _i_power_of(unit.coefficient(0)) == k
+                for e in range(-3, 4):
+                    assert ScalarQ(_unit_shift(dict(c.items()), k, e)) \
+                        == c * unit * S(e), (c, k, e)
+        for other in (GaussianRational(2), GaussianRational(1, 1),
+                      GaussianRational(0, Fraction(1, 2))):
+            assert _i_power_of(other) is None
 
 
 class TestReduce:
@@ -94,11 +134,27 @@ class TestReduce:
         assert reduce(["p", "x", "u"]) == expected
 
     def test_longer_words_all_orders_agree(self):
-        for word in (["x", "p", "u^-1"], ["u", "p", "x"], ["p", "x", "p"],
-                     ["x", "u", "p", "u^-1"], ["p", "p", "x"]):
-            outcomes = reduce_all_orders(word)
-            assert len(outcomes) == 1, word
-            assert reduce(word) in outcomes
+        letters = ("p", "x", "u", "u^-1")
+        for length in range(5):
+            for word in itertools.product(letters, repeat=length):
+                outcomes = reduce_all_orders(word)
+                assert len(outcomes) == 1, word
+                assert reduce(word) in outcomes, word
+
+    def test_alternating_words_match_rewriting(self):
+        # the rewriting oracle's cost grows about 2.2x per alternation
+        rng = random.Random(41)
+        for alternations in range(1, 15):
+            word = ["p", "x"] * alternations
+            if rng.random() < 0.5:
+                word.reverse()
+            for _ in range(rng.randint(1, 3)):
+                word.insert(rng.randrange(len(word) + 1),
+                            rng.choice(("u", "u^-1")))
+            coeff = ScalarQ.gauss(Fraction(rng.randint(-5, 5), 3), 1,
+                                  rng.randint(-2, 2))
+            assert reduce(word, coeff) == reduce(
+                word, coeff, rng=random.Random(alternations)), word
 
     def test_normal_words_are_fixed(self):
         for m in (mono("p", 2, -3), mono("x", 1, 4), mono("p", 0, 0),
@@ -140,11 +196,11 @@ class TestRelations:
 
     def test_confluence_randomized_orders(self):
         rng = random.Random(7)
-        for _ in range(300):
-            word = random_word(rng, max_len=8)
-            base = reduce(word)
-            for k in range(3):
-                assert reduce(word, rng=random.Random(1000 + k)) == base
+        for k in range(2000):
+            word = random_word(rng, max_len=12)
+            coeff = random_scalar(rng)
+            base = reduce(word, coeff)
+            assert reduce(word, coeff, rng=random.Random(1000 + k)) == base
 
 
 class TestMultiply:
@@ -161,6 +217,18 @@ class TestMultiply:
         rng = random.Random(3)
         assert got == reduce(["p", "u", "x", "u"], rng=rng)
         assert got == elem((mono("p", 0, 1), I * S(-1)), (mono("p", 0, 3), -(I * S(-3))))
+
+    def test_matches_rewriting_of_concatenated_words(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            a, b = rich_element(rng), rich_element(rng)
+            expected = AlgebraElement.zero()
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    expected = expected + reduce(
+                        ma.word() + mb.word(), ca * cb,
+                        rng=random.Random(rng.getrandbits(32)))
+            assert multiply(a, b) == expected, (a, b)
 
     def test_associativity_random(self):
         rng = random.Random(11)
@@ -228,6 +296,18 @@ class TestStar:
         via_word = reduce(["u^-1", "p"])
         assert star(pu) == via_word
         assert star(pu) == elem((mono("p", 1, -1), S(-2)))
+
+    def test_matches_rewriting_of_reversed_words(self):
+        rng = random.Random(47)
+        for _ in range(500):
+            a = rich_element(rng)
+            expected = AlgebraElement.zero()
+            for m, c in a.items():
+                word = [STAR_LETTER[letter] for letter in reversed(m.word())]
+                expected = expected + reduce(
+                    word, c.conjugate(), rng=random.Random(rng.getrandbits(32)))
+            assert star(a) == expected, a
+            assert star(star(a)) == a
 
     def test_antilinear(self):
         a = AlgebraElement.generator("p").scale(I)

@@ -89,6 +89,7 @@ class TestNormalForm:
     @pytest.mark.parametrize("expression,expected", [
         ("p^100000", "p^100000"),
         ("(p*u)^3000", "s^8997000*p^3000*u^3000"),
+        ("(i*u)^1000001", "i*u^1000001"),
     ])
     def test_single_term_powers_answer_in_closed_form(self, expression,
                                                       expected):
@@ -105,6 +106,35 @@ class TestNormalForm:
         ("7" * 4001, "at most 4000 digits, found 4001 digits"),
     ])
     def test_oversized_numbers_are_usage_errors(self, expression, message):
+        result = run_cli("normal-form", expression, timeout=10)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+    @pytest.mark.parametrize("expression", [
+        "(3*u)^4000000", "999990^-1999991", "(3*u)^99999999999",
+        "(1 + q)^99999999999",
+    ])
+    def test_oversized_powers_are_refused_before_computing(self, expression):
+        start = time.monotonic()
+        result = run_cli("normal-form", expression, timeout=10)
+        elapsed = time.monotonic() - start
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: coefficient too large to "
+                                        "print: ")
+        assert "Traceback" not in result.stderr
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("expression,message", [
+        ("1/0", "syntax error at offset 2: expected a nonzero denominator"),
+        ("(1/0)*p", "syntax error at offset 3: expected a nonzero denominator"),
+        ("0^-1", "0 has no inverse"),
+    ])
+    def test_zero_division_is_a_usage_error(self, expression, message):
         result = run_cli("normal-form", expression, timeout=10)
         assert result.returncode == 2
         assert result.stdout == ""

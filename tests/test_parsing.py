@@ -7,7 +7,10 @@ import pytest
 
 from qheis.algebra import (
     AlgebraElement,
+    GaussianRational,
+    NormalMonomial,
     ScalarQ,
+    check_printable,
     multiply,
     random_element,
 )
@@ -146,6 +149,13 @@ class TestParseErrors:
             assert err.value.offset == offset
             assert f"at most {MAX_DIGITS} digits" in str(err.value)
 
+    def test_zero_denominator_reports_its_offset(self):
+        for text, offset in (("1/0", 2), ("(1/0)*p", 3), ("p + 7 / 000", 8)):
+            with pytest.raises(ParseError) as err:
+                parse_expression(text)
+            assert err.value.offset == offset
+            assert "a nonzero denominator" in str(err.value)
+
     def test_parse_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             parse_expression("p +")
@@ -177,9 +187,53 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="has no inverse"):
             parse_to_element("p^-1")
 
+    def test_zero_inversion_is_rejected(self):
+        for text in ("0^-1", "(p - p)^-3"):
+            with pytest.raises(ValueError, match="0 has no inverse"):
+                parse_to_element(text)
+
     def test_sum_inversion_is_rejected(self):
         with pytest.raises(ValueError, match="cannot invert a sum"):
             parse_to_element("(p + x)^-1")
+
+    def test_powers_near_the_print_limit_answer_exactly_when_printable(self):
+        # the size check before a power may refuse only what check_printable
+        # would refuse after it
+        def printable(element):
+            try:
+                check_printable(element)
+            except ValueError:
+                return False
+            return True
+
+        rng = random.Random(53)
+        bases = ["2", "1/3", "(3/5 + 4/5*i)", "(1/2 + 1/2*i)", "3*i*u^2"]
+        while len(bases) < 14:
+            g = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            if g.re.denominator == g.im.denominator == 1 and (
+                    abs(g.re) + abs(g.im) <= 1):
+                continue
+            kind = rng.choice("px")
+            m = NormalMonomial(kind, rng.randint(0 if kind == "p" else 1, 2),
+                               rng.randint(-2, 2))
+            bases.append(f"{ScalarQ({rng.randint(-2, 2): g})}*{m}")
+        for text in bases:
+            base = parse_to_element(text)
+            low, high = 1, 2
+            while printable(base ** high):
+                low, high = high, 2 * high
+            while high - low > 1:
+                mid = (low + high) // 2
+                low, high = (mid, high) if printable(base ** mid) else (low, mid)
+            for n in range(low - 2, low + 3):
+                power = f"({text})^{n}"
+                if printable(base ** n):
+                    check_printable(parse_to_element(power))
+                else:
+                    with pytest.raises(ValueError,
+                                       match="coefficient too large to print"):
+                        check_printable(parse_to_element(power))
 
     def test_defining_relation_normalizes_to_zero(self):
         text = "p*x - s^2*x*p - i*(s^3 - s^-1)*u"
