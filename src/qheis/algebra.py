@@ -702,32 +702,35 @@ def check_printable(element: AlgebraElement) -> None:
                          f"over the limit of {MAX_PRINT_BITS} bits")
 
 
-def _log2_abs(g: GaussianRational) -> float:
-    norm = g.re * g.re + g.im * g.im
-    return (math.log2(norm.numerator) - math.log2(norm.denominator)) / 2
+def _half_log2(x: Fraction) -> float:
+    """log2 of the square root of a positive rational."""
+    return (math.log2(x.numerator) - math.log2(x.denominator)) / 2
 
 
-def check_power_printable(element: AlgebraElement, n: int) -> None:
-    """Raise ValueError, before element ** n is computed, when a lower bound
-    on the longest coefficient part of the power of a single term c*m is
-    over MAX_PRINT_BITS bits, so nothing check_printable passes is refused.
+def _norm(g: GaussianRational) -> Fraction:
+    return g.re * g.re + g.im * g.im
+
+
+def _power_bits_lower_bound(coeff: ScalarQ, n: int) -> float:
+    """A number of bits that the longest numerator or denominator of a
+    coefficient part of coeff^n (n >= 1) reaches, found in time that does
+    not grow with n.
 
     The lowest and highest coefficients of c^n are g^n for those g of c.  A
     part of g^n has a numerator (|g| > 1) or a denominator (|g| < 1) of at
     least n*|log2 |g|| bits, and a denominator of more than n/2 bits when g
     is not a Gaussian integer; a rational g = a/b gives exactly a^n/b^n,
-    and x >= 2^(bits - 1).  The values of c^n at s = 1 and s = -1 are
-    signed sums of its coefficients, of which there are at most
-    n*(spread of the s exponents of c) + 1.
+    and x >= 2^(bits - 1).  c^n has at most n*(spread of the s exponents of
+    c) + 1 coefficients a_k.  Its values at s = 1 and s = -1 are signed
+    sums of them, so count * max |a_k| >= |c(+-1)|^n; and, by Parseval and
+    Jensen on |s| = 1, count * max |a_k|^2 >= sum |a_k|^2 >= (sum |g|^2)^n.
+    A part of a_k is at least |a_k|/sqrt(2).
     """
-    if n < 2 or len(element._terms) != 1:
-        return
-    (coeff,) = element._terms.values()
     low, high = min(coeff._terms), max(coeff._terms)
     nf = float(min(n, 1 << 1000))
     bound = 0.0
     for g in (coeff._terms[low], coeff._terms[high]):
-        bound = max(bound, nf * abs(_log2_abs(g)) - 1)
+        bound = max(bound, nf * abs(_half_log2(_norm(g))) - 1)
         if g.im:
             if g.re.denominator > 1 or g.im.denominator > 1:
                 bound = max(bound, nf / 2)
@@ -735,11 +738,29 @@ def check_power_printable(element: AlgebraElement, n: int) -> None:
             for x in (g.re.numerator, g.re.denominator):
                 bound = max(bound, n * (abs(x).bit_length() - 1) + 1)
     log2_count = math.log2(n * (high - low) + 1)
-    for sign in (1, -1):
-        value = sum((-g if sign < 0 and e % 2 else g
-                     for e, g in coeff._terms.items()), _GR_ZERO)
-        if value:
-            bound = max(bound, nf * _log2_abs(value) - log2_count - 1)
+    at_one = sum(coeff._terms.values(), _GR_ZERO)
+    at_minus_one = sum((-g if e % 2 else g for e, g in coeff._terms.items()),
+                       _GR_ZERO)
+    energy = sum(_norm(g) for g in coeff._terms.values())
+    for norm, weight in ((_norm(at_one), 1), (_norm(at_minus_one), 1),
+                         (energy, 0.5)):
+        if norm:
+            bound = max(bound,
+                        nf * _half_log2(norm) - weight * log2_count - 1)
+    return bound
+
+
+def check_power_printable(element: AlgebraElement, n: int) -> None:
+    """Raise ValueError, before element ** n is computed, when element is
+    a single term c*m and c^n must hold a coefficient part longer than
+    MAX_PRINT_BITS bits (see _power_bits_lower_bound), so element ** n
+    alone is never refused when check_printable would pass it.  An
+    expression that goes on to cancel such a power, as 2^20000 * 2^-20000
+    does, is refused all the same."""
+    if n < 2 or len(element._terms) != 1:
+        return
+    (coeff,) = element._terms.values()
+    bound = _power_bits_lower_bound(coeff, n)
     if bound > MAX_PRINT_BITS:
         raise ValueError(f"coefficient too large to print: "
                          f"{math.ceil(bound)} bits or more, over the limit "
@@ -757,6 +778,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for (kind, power, n), coeff in piece.items():
             key = (kind, power, n + mb.uexp)
             for e, g in cb._terms.items():
+                # a unit i^k s^e, the usual coefficient term, is a shift;
+                # any other g takes Gaussian products
                 k = _i_power_of(g)
                 if k is not None:
                     _accumulate(acc, key, coeff, k, e)

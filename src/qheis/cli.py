@@ -17,15 +17,14 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import check_printable
 from .catalog import CATALOG_KINDS
-from .parsing import ParseError, parse_to_element
 
 if TYPE_CHECKING:
     from .extensions import ExtensionTriple
 
 # Each command imports the modules it needs when it runs: numpy and the
-# numeric modules cost most of a cold start, and normal-form needs neither.
+# numeric modules cost most of a cold start, normal-form needs neither, and
+# spectrum and schrodinger need no algebra.
 
 
 class ConfigError(ValueError):
@@ -146,6 +145,9 @@ def emit_report(report: dict, fmt: str, stream=None) -> None:
 
 
 def cmd_normal_form(args) -> int:
+    from .algebra import check_printable
+    from .parsing import parse_to_element
+
     element = parse_to_element(args.expression)
     check_printable(element)
     terms = [{"monomial": str(mono), "coefficient": str(coeff)}
@@ -365,13 +367,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
+        # ParseError and ConfigError included
         print(f"error: {err}", file=sys.stderr)
         return 2
 

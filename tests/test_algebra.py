@@ -13,6 +13,7 @@ from qheis.algebra import (
     NormalMonomial,
     ScalarQ,
     _i_power_of,
+    _power_bits_lower_bound,
     _unit_shift,
     check_printable,
     inverse_q_iso,
@@ -270,6 +271,33 @@ class TestMultiply:
             for n in range(13):
                 assert base ** n == expected, (base, n)
                 expected = multiply(expected, base)
+
+    def test_power_size_bound_is_a_lower_bound(self):
+        # the bound check_power_printable uses must never exceed the bits
+        # the power really has, for single and multi-term scalars alike
+        rng = random.Random(59)
+        units = [ONE, -ONE, I, -I]
+        scalars = [ONE + S(1), ONE + S(1) - S(2), S(-1) + I * S(1)]
+        while len(scalars) < 60:
+            if rng.random() < 0.5:
+                c = random_scalar(rng)
+            else:
+                c = ScalarQ.zero()
+                for e in rng.sample(range(-3, 4), rng.randint(2, 4)):
+                    c = c + rng.choice(units) * S(e)
+            if c:
+                scalars.append(c)
+        for c in scalars:
+            power = ONE
+            for n in range(1, 25):
+                power = power * c
+                bits = max(x.bit_length() for _, g in power.items()
+                           for part in (g.re, g.im)
+                           for x in (part.numerator, part.denominator))
+                assert _power_bits_lower_bound(c, n) <= bits, (c, n)
+        # sums of unit terms have no large coefficient, yet their powers do
+        assert _power_bits_lower_bound(ONE + S(1) - S(2),
+                                       10 ** 11) > MAX_PRINT_BITS
 
     def test_check_printable_names_the_size(self):
         check_printable(elem((mono("p", 1, 0), ScalarQ.rational(2 ** 13999))))

@@ -235,6 +235,15 @@ class TestEvaluate:
                                        match="coefficient too large to print"):
                         check_printable(parse_to_element(power))
 
+    def test_unprintable_power_is_refused_even_if_it_cancels(self):
+        # the size check runs on each power as it is evaluated, not on
+        # the final normal form
+        assert parse_to_element("2^10000*2^-10000") == AlgebraElement.one()
+        for text in ("2^20000*2^-20000", "2^20000 - 2^20000"):
+            with pytest.raises(ValueError,
+                               match="coefficient too large to print"):
+                parse_to_element(text)
+
     def test_defining_relation_normalizes_to_zero(self):
         text = "p*x - s^2*x*p - i*(s^3 - s^-1)*u"
         assert parse_to_element(text) == AlgebraElement.zero()
