@@ -55,11 +55,10 @@ bmap = BoundaryMap(shuffled, pi @ triple.bmap.vprime, pi @ triple.bmap.wprime)
 other = ExtensionTriple(shuffled, triple.window, bmap)
 report = unitary_equivalent(CommutantProblem.from_triple(triple),
                             CommutantProblem.from_triple(other))
-w = report.witness_plus
-top = np.unravel_index(np.argmax(np.abs(w)), w.shape)
 print("shuffled atoms:", report.verdict,
       " witness residual:", f"{report.residual:.2e}")
-print("recovered permutation:\n", np.round((abs(w[top]) / w[top]) * w).real)
+# witnesses come with a canonical phase: the largest entry is real, positive
+print("recovered permutation:\n", np.round(report.witness_plus.real))
 
 # When certification fails for reducible data, the solver says so
 # instead of guessing.

@@ -14,8 +14,18 @@ primitive boundary matrices), and everything reduces to linear algebra:
   the restriction is irreducible exactly when that space is the scalars;
 * two problems are unitarily equivalent exactly when a metric-preserving
   intertwiner exists; for irreducible problems a one-dimensional null space
-  plus a trace normalization produces the witness, which is then verified
-  entry by entry before the verdict is issued.
+  plus a trace normalization produces the witness, which is brought to a
+  canonical phase and then verified entry by entry, position equalities
+  included, before the verdict is issued.
+
+The position constraints are diagonal, so they are solved first: entry
+(i, j) of an intertwiner can be nonzero only where the positions p2_i and
+p1_j agree within position_tol = rcond * max(1, max |position|).  Only
+those entries are unknowns of the boundary-matrix equations, which one thin
+SVD then solves: 2d unknowns for distinct positions, blocks for repeated
+ones.  Reports give the tolerance and position_gap, the smallest position
+difference above it, next to the singular values on both sides of the
+rcond cut.
 
 A small catalog of worked examples covers the qualitatively different
 cases: single atoms, transform-coupled distinct positions, a repeated
@@ -222,56 +232,60 @@ class CommutantProblem:
                 and np.array_equal(self.wprime, other.wprime))
 
 
-def _intertwiner_system(p1: CommutantProblem,
-                        p2: CommutantProblem) -> np.ndarray:
+def _intertwiner_system(p1: CommutantProblem, p2: CommutantProblem,
+                        rcond: float = 1e-10):
     """Linear system whose null vectors are pairs (A+, A-) with
 
         A+ P1+ = P2+ A+      A- P1- = P2- A-
         A+ V1' = V2' A-      A+ W1' = W2' A-
 
-    stacked as [vec(A+); vec(A-)] in row-major vec convention."""
-    d = p1.dim
-    eye = np.eye(d)
-    zero = np.zeros((d * d, d * d))
-    def right(m):   # vec(A m) = (I kron m^T) vec(A)
-        return np.kron(eye, np.asarray(m, dtype=complex).T)
-    def left(m):    # vec(m A) = (m kron I) vec(A)
-        return np.kron(np.asarray(m, dtype=complex), eye)
-    rows = [
-        np.hstack([right(np.diag(p1.plus_positions))
-                   - left(np.diag(p2.plus_positions)), zero]),
-        np.hstack([zero, right(np.diag(p1.minus_positions))
-                   - left(np.diag(p2.minus_positions))]),
-        np.hstack([right(p1.vprime), -left(p2.vprime)]),
-        np.hstack([right(p1.wprime), -left(p2.wprime)]),
-    ]
-    return np.vstack(rows)
+    The P are diagonal, so only the entries (i, j) of A± with |p2_i - p1_j|
+    <= position_tol are unknowns and only the V'/W' rows (b, i, k) remain.
+    Returns the matrix, each column's index in [vec(A+); vec(A-)] (row-major
+    vec), position_tol and position_gap."""
+    d, pos = p1.dim, (p1.plus_positions, p1.minus_positions,
+                      p2.plus_positions, p2.minus_positions)
+    tol = rcond * np.max(np.abs(np.concatenate(pos)), initial=1.0)
+    diffs = [np.abs(np.subtract.outer(pos[2], pos[0])),
+             np.abs(np.subtract.outer(pos[3], pos[1]))]
+    (ip, jp), (jm, km) = (np.nonzero(g <= tol) for g in diffs)
+    cp, cm = np.split(np.arange(ip.size + jm.size), [ip.size])
+    cols = np.zeros((cp.size + cm.size, 2, d, d), dtype=complex)
+    cols[cp, :, ip, :] = np.stack([p1.vprime, p1.wprime], 1)[jp]
+    cols[cm, :, :, km] = -np.stack([p2.vprime.T, p2.wprime.T], 1)[jm]
+    gap = np.min(np.concatenate([g[g > tol] for g in diffs]), initial=math.inf)
+    return (cols.reshape(len(cols), 2 * d * d).T, np.concatenate(
+        [ip * d + jp, d * d + jm * d + km]), float(tol), float(gap))
 
 
-def _null_space(mat: np.ndarray, rcond: float = 1e-10):
-    """(basis, kept, dropped): orthonormal null basis and the smallest kept /
-    largest dropped singular values, for diagnostics."""
-    svals = np.linalg.svd(mat, compute_uv=False)
-    cutoff = rcond * max(1.0, svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    _, _, vh = np.linalg.svd(mat, full_matrices=True)
-    basis = vh[rank:].conj().T
+def _null_space(p1: CommutantProblem, p2: CommutantProblem, rcond=1e-10):
+    """(basis, kept, dropped, position_tol, position_gap): with no more
+    unknowns than rows, one thin SVD gives the values and the null basis."""
+    mat, index, tol, gap = _intertwiner_system(p1, p2, rcond)
+    _, svals, vh = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.sum(svals > rcond * np.max(svals, initial=1.0)))
+    basis = np.zeros((2 * p1.dim ** 2, mat.shape[1] - rank), dtype=complex)
+    basis[index] = vh[rank:].conj().T
     kept = float(svals[rank - 1]) if rank > 0 else math.inf
-    dropped = float(svals[rank]) if rank < svals.size else 0.0
-    return basis, kept, dropped
+    dropped = abs(float(svals[rank])) if rank < svals.size else 0.0
+    return basis, kept, dropped, tol, gap
 
 
 def commutant_dim(problem: CommutantProblem, rcond: float = 1e-10) -> int:
-    basis, _, _ = _null_space(_intertwiner_system(problem, problem), rcond)
-    return basis.shape[1]
+    return _null_space(problem, problem, rcond)[0].shape[1]
 
 
 @dataclass
 class IrreducibilityReport:
+    """Commutant dimension with the health of the solve that found it (see
+    ``_health_json``)."""
+
     dim: int
     commutant_dim: int
     smallest_kept_sv: float
     largest_dropped_sv: float
+    position_tol: float
+    position_gap: float
 
     @property
     def irreducible(self) -> bool:
@@ -280,8 +294,18 @@ class IrreducibilityReport:
     def to_json(self) -> dict:
         return {"dim": self.dim, "commutant_dim": self.commutant_dim,
                 "irreducible": self.irreducible,
-                "smallest_kept_sv": self.smallest_kept_sv,
-                "largest_dropped_sv": self.largest_dropped_sv}
+                **_health_json(self)}
+
+
+def _health_json(report) -> dict:
+    """How near the solve came to another answer: the singular values on
+    both sides of the rcond cut and the position differences on both sides
+    of position_tol (a gap of null means no two positions differ)."""
+    gap = report.position_gap
+    return {"smallest_kept_sv": report.smallest_kept_sv,
+            "largest_dropped_sv": report.largest_dropped_sv,
+            "position_tol": report.position_tol,
+            "position_gap": None if gap == math.inf else gap}
 
 
 def irreducibility_report(problem: CommutantProblem,
@@ -289,9 +313,8 @@ def irreducibility_report(problem: CommutantProblem,
     """Dimension of the commutant of the boundary data.  The identity pair
     always commutes, so the dimension is at least one; exactly one means
     the restriction is irreducible."""
-    basis, kept, dropped = _null_space(
-        _intertwiner_system(problem, problem), rcond)
-    return IrreducibilityReport(problem.dim, basis.shape[1], kept, dropped)
+    basis, *health = _null_space(problem, problem, rcond)
+    return IrreducibilityReport(problem.dim, basis.shape[1], *health)
 
 
 def _matrix_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -328,6 +351,10 @@ class EquivalenceReport:
     witness_plus: np.ndarray | None = None
     witness_minus: np.ndarray | None = None
     residuals: dict[str, float] = field(default_factory=dict)
+    smallest_kept_sv: float | None = None
+    largest_dropped_sv: float | None = None
+    position_tol: float | None = None
+    position_gap: float | None = None
 
     @property
     def residual(self) -> float:
@@ -342,7 +369,8 @@ class EquivalenceReport:
                 "intertwiner_dim": self.intertwiner_dim,
                 "residuals": dict(self.residuals),
                 "witness_plus": rows(self.witness_plus),
-                "witness_minus": rows(self.witness_minus)}
+                "witness_minus": rows(self.witness_minus),
+                **_health_json(self)}
 
 
 def unitary_equivalent(p1: CommutantProblem, p2: CommutantProblem,
@@ -363,41 +391,66 @@ def unitary_equivalent(p1: CommutantProblem, p2: CommutantProblem,
         return EquivalenceReport("equivalent", "both problems are empty", 0,
                                  np.zeros((0, 0)), np.zeros((0, 0)))
 
-    basis, _, _ = _null_space(_intertwiner_system(p1, p2), rcond)
+    basis, kept, dropped, position_tol, position_gap = _null_space(
+        p1, p2, rcond)
+    health = dict(smallest_kept_sv=kept, largest_dropped_sv=dropped,
+                  position_tol=position_tol, position_gap=position_gap)
     n_dim = basis.shape[1]
     if n_dim == 0:
         return EquivalenceReport(
-            "inequivalent", "no nonzero intertwiner exists", 0)
+            "inequivalent", "no nonzero intertwiner exists", 0, **health)
 
-    d = p1.dim
+    d, same = p1.dim, p1.data_equal(p2)
     candidates = []
-    if p1.data_equal(p2):
+    if same:
         candidates.append((np.eye(d, dtype=complex), np.eye(d, dtype=complex)))
     for col in range(n_dim):
         z = basis[:, col]
         candidates.append((z[:d * d].reshape(d, d), z[d * d:].reshape(d, d)))
 
     g1p, g2p = np.diag(p1.plus_weights), np.diag(p2.plus_weights)
+    best: dict[str, float] = {}
     for a_plus, a_minus in candidates:
         scale = float(np.trace(a_plus.conj().T @ g2p @ a_plus).real
                       / np.trace(g1p).real)
         if scale <= 0:
             continue
-        a_plus = a_plus / math.sqrt(scale)
-        a_minus = a_minus / math.sqrt(scale)
+        a_plus, a_minus = _canonical_phase(a_plus / math.sqrt(scale),
+                                           a_minus / math.sqrt(scale), tol)
         residuals = _witness_residuals(p1, p2, a_plus, a_minus)
         if max(residuals.values()) <= tol:
             return EquivalenceReport(
                 "equivalent", "verified metric-preserving intertwiner",
-                n_dim, a_plus, a_minus, residuals)
+                n_dim, a_plus, a_minus, residuals, **health)
+        if not best or max(residuals.values()) < max(best.values()):
+            best = residuals
 
-    if commutant_dim(p1, rcond) == 1 and commutant_dim(p2, rcond) == 1:
+    # for identical data the null space just computed is the commutant
+    if same:
+        irreducible = n_dim == 1
+    else:
+        irreducible = (commutant_dim(p1, rcond) == 1
+                       and commutant_dim(p2, rcond) == 1)
+    if irreducible:
         reason = ("an intertwiner exists between irreducible problems but "
                   "failed unitary certification")
     else:
         reason = ("intertwiners exist but none certified; at least one "
                   "problem is reducible")
-    return EquivalenceReport("undecided", reason, n_dim)
+    return EquivalenceReport("undecided", reason, n_dim, residuals=best,
+                             **health)
+
+
+def _canonical_phase(a_plus: np.ndarray, a_minus: np.ndarray, tol: float):
+    """Scale a witness by the unit phase that makes the largest-modulus
+    entry of A+ real and positive, so that it does not depend on the phase
+    LAPACK gave the null vector.  Moduli within a relative ``tol`` of the
+    largest tie, and the first of them in row-major order wins: rounding
+    must not pick between the unit entries of a permutation."""
+    modulus = np.abs(a_plus).ravel()
+    top = a_plus.flat[np.argmax(modulus >= (1.0 - tol) * modulus.max())]
+    phase = abs(top) / top
+    return a_plus * phase, a_minus * phase
 
 
 def dft_matrix(dim: int) -> np.ndarray:
@@ -489,22 +542,18 @@ def two_block_triple(q: float = 0.5, block_positions=(0.6, 0.8),
         raise ValueError(
             f"T*T eigenvalues must lie in [1/3, 2/3], got "
             f"[{gram_eigs.min():.4f}, {gram_eigs.max():.4f}]")
-    eye = np.eye(n)
-    joint = np.vstack([
-        np.hstack([np.kron(eye, t.T) - np.kron(t, eye)]),
-        np.hstack([np.kron(eye, t.conj()) - np.kron(t.conj().T, eye)]),
-    ])
-    basis, _, _ = _null_space(joint)
-    if basis.shape[1] != 1:
-        raise ValueError("T and T* must have only scalar joint commutants")
-
     alpha, beta = (float(a) for a in block_positions)
     if alpha == beta:
         raise ValueError("the two block positions must differ")
     atoms = [Atom(alpha) for _ in range(n)] + [Atom(beta) for _ in range(n)]
     family = AtomFamily(q, atoms, list(atoms))
     bmap = BoundaryMap(family, z_block_unitary(t), np.eye(2 * n))
-    return ExtensionTriple(family, window or _default_window(), bmap)
+    triple = ExtensionTriple(family, window or _default_window(), bmap)
+    # the commutant of the triple is {diag(X, X)} for X in the joint
+    # commutant of T and T*, so the two are scalar together
+    if commutant_dim(CommutantProblem.from_triple(triple)) != 1:
+        raise ValueError("T and T* must have only scalar joint commutants")
+    return triple
 
 
 def build_catalog_triple(kind: int,

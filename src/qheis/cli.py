@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -44,8 +45,9 @@ def default_tol(task_default: float) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"QHEIS_TOL: not a number: {raw!r}")
-    if value <= 0:
-        raise ConfigError(f"QHEIS_TOL: must be positive, got {raw!r}")
+    if not 0 < value < math.inf:
+        raise ConfigError(
+            f"QHEIS_TOL: must be positive and finite, got {raw!r}")
     return value
 
 
@@ -89,8 +91,9 @@ def triple_from_config(config: dict) -> ExtensionTriple:
 def config_tol(config: dict, task_default: float) -> float:
     if "tol" in config:
         tol = config["tol"]
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            raise ConfigError(f"/tol: expected a positive number, got {tol!r}")
+        if not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ConfigError(
+                f"/tol: expected a positive finite number, got {tol!r}")
         return float(tol)
     return default_tol(task_default)
 

@@ -102,7 +102,7 @@ class BoundaryMap:
                 raise ValueError(
                     "boundary conditions need equally many atoms on both signs")
             res = self.k_isometry_residual()
-            if res > 1e-10:
+            if not res <= 1e-10:
                 raise ValueError(
                     f"boundary matrices are not weight isometries "
                     f"(residual {res:.3g}); pass validate=False to keep them")
@@ -125,10 +125,11 @@ class BoundaryMap:
         return self._derived(self.wprime)
 
     def k_isometry_residual(self) -> float:
+        """nan when the products overflow."""
         gp, gm = self.plus.gram_K(), self.minus.gram_K()
-        return max(
-            float(np.linalg.norm(m.conj().T @ gp @ m - gm))
-            for m in (self.vprime, self.wprime))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max([np.linalg.norm(m.conj().T @ gp @ m - gm)
+                                 for m in (self.vprime, self.wprime)]))
 
     def h_unitarity_residual(self) -> float:
         gp, gm = self.plus.gram_H(), self.minus.gram_H()
@@ -146,21 +147,31 @@ class BoundaryMap:
     @classmethod
     def from_json(cls, data, family: AtomFamily,
                   validate: bool = True) -> "BoundaryMap":
+        def finite(value, name: str) -> float:
+            x = float(value)
+            if not math.isfinite(x):
+                raise ValueError(f"{name}: expected a finite number, got {x}")
+            return x
+
         if "phases" in data:
             ph = data["phases"]
             return make_boundary_map(
-                family, phases=(float(ph["v"]), float(ph["w"])),
+                family, phases=(finite(ph["v"], "phases/v"),
+                                finite(ph["w"], "phases/w")),
                 validate=validate)
-        def entry(c):
+        def entry(c, name: str):
             if not isinstance(c, dict):
                 raise TypeError(f"matrix entries are {{re, im}} objects, "
                                 f"got {c!r}")
-            return complex(float(c.get("re", 0.0)), float(c.get("im", 0.0)))
+            return complex(finite(c.get("re", 0.0), f"{name}/re"),
+                           finite(c.get("im", 0.0), f"{name}/im"))
 
-        def parse(rows):
-            return np.array([[entry(c) for c in row] for row in rows],
+        def parse(key):
+            return np.array([[entry(c, f"{key}/{i}/{j}")
+                              for j, c in enumerate(row)]
+                             for i, row in enumerate(data[key])],
                             dtype=complex)
-        return cls(family, parse(data["Vprime"]), parse(data["Wprime"]),
+        return cls(family, parse("Vprime"), parse("Wprime"),
                    validate=validate)
 
     def __repr__(self) -> str:

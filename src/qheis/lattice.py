@@ -70,8 +70,9 @@ class AtomFamily:
                 if not (self.q <= atom.position < 1.0):
                     raise ValueError(
                         f"{side} atom {k}: position {atom.position} outside [q, 1)")
-                if atom.weight <= 0.0:
-                    raise ValueError(f"{side} atom {k}: weight must be positive")
+                if not 0.0 < atom.weight < math.inf:
+                    raise ValueError(f"{side} atom {k}: weight must be "
+                                     f"positive and finite, got {atom.weight}")
 
     def atoms(self, sign: int) -> tuple[Atom, ...]:
         return self.plus if sign > 0 else self.minus

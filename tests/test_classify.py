@@ -200,6 +200,41 @@ class TestEquivalence:
         assert report.verdict == "undecided"
         assert report.intertwiner_dim == 2
         assert "reducible" in report.reason
+        # the best failed candidate's residuals come along, no witness
+        assert 1e-10 < report.residual < np.inf
+        assert report.witness_plus is None
+
+    def test_reports_carry_the_health_of_the_solve(self):
+        problem = CommutantProblem.from_triple(build_catalog_triple(3))
+        report = unitary_equivalent(problem, problem)
+        commutant = irreducibility_report(problem)
+        data = report.to_json()
+        for key in ("smallest_kept_sv", "largest_dropped_sv",
+                    "position_tol", "position_gap"):
+            assert data[key] == getattr(commutant, key)
+        assert data["position_tol"] == 1e-10
+        assert data["position_gap"] == pytest.approx(0.15)
+        mismatch = unitary_equivalent(problem, CommutantProblem.from_triple(
+            build_catalog_triple(1))).to_json()
+        assert mismatch["smallest_kept_sv"] is None
+
+    def test_witness_phase_is_canonical(self):
+        # conjugating by diagonal phases: the witness is diagonal with unit
+        # entries, and the first of them is made real and positive
+        p1 = CommutantProblem.from_triple(build_catalog_triple(3))
+        d_plus = np.diag(np.exp(1j * np.array([0.4, -2.0, 1.1])))
+        d_minus = np.diag(np.exp(1j * np.array([2.5, 0.3, -0.9])))
+        p2 = CommutantProblem(p1.plus_positions, p1.plus_weights,
+                              p1.minus_positions, p1.minus_weights,
+                              d_plus @ p1.vprime @ d_minus.conj(),
+                              d_plus @ p1.wprime @ d_minus.conj())
+        report = unitary_equivalent(p1, p2)
+        assert report.verdict == "equivalent"
+        phase = np.exp(-0.4j)
+        assert np.allclose(report.witness_plus, d_plus * phase, atol=1e-12)
+        assert np.allclose(report.witness_minus, d_minus * phase, atol=1e-12)
+        assert report.witness_plus[0, 0].real > 0
+        assert abs(report.witness_plus[0, 0].imag) < 1e-15
 
     def test_report_json_shape(self):
         problem = CommutantProblem.from_triple(build_catalog_triple(1))

@@ -177,6 +177,56 @@ class TestConfigHandling:
         result = run_cli("schrodinger", "--q", "1.5", "--samples", "2")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("command", ["classify", "spectrum", "equiv"])
+    @pytest.mark.parametrize("kind, path, value, message", [
+        (2, ("map", "phases", "v"), float("nan"), "/map: phases/v"),
+        (4, ("map", "Vprime", 0, 1, "re"), float("inf"),
+         "/map: Vprime/0/1/re"),
+        (4, ("map", "Wprime", 1, 1, "im"), float("-inf"),
+         "/map: Wprime/1/1/im"),
+        (1, ("family", "plus", 0, "w"), float("nan"), "/family: plus atom 0"),
+        (1, ("family", "minus", 0, "w"), float("inf"),
+         "/family: minus atom 0"),
+        # finite, but the isometry residual overflows to nan
+        (4, ("map", "Vprime", 0, 0, "re"), 1e200,
+         "/map: boundary matrices are not weight isometries (residual nan)"),
+        (4, ("map", "Wprime", 1, 0, "im"), -1e200,
+         "/map: boundary matrices are not weight isometries (residual nan)"),
+    ])
+    def test_non_finite_numbers_are_config_errors(self, configs, tmp_path,
+                                                  command, kind, path, value,
+                                                  message):
+        config = json.loads(configs[kind].read_text())
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps(config))
+        args = (["--config-a", str(bad), "--config-b", str(bad)]
+                if command == "equiv" else ["--config", str(bad)])
+        result = run_cli(command, *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in result.stderr
+        assert "did not converge" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["spectrum", "equiv", "verify"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_is_a_config_error(self, configs, tmp_path,
+                                                    command, tol):
+        config = json.loads(configs[1].read_text())
+        config["tol"] = tol
+        bad = tmp_path / "tol.json"
+        bad.write_text(json.dumps(config))
+        args = (["--config-a", str(bad), "--config-b", str(bad)]
+                if command == "equiv" else ["--config", str(bad)])
+        result = run_cli(command, *args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: /tol: expected a positive "
+                                        "finite number")
+
 
 class TestExample:
     def test_config_is_self_contained(self, configs):
