@@ -21,20 +21,27 @@ boundary form
 measures the failure of symmetry; it depends only on the tail amplitudes and
 has a closed form in the atom-weighted boundary metric.  Both the direct and
 the closed-form evaluation are provided so each can check the other.
+
+A TailVector holds its finite part as a ``LatticeVector`` coefficient array
+and its amplitudes as two flat arrays over the atoms in ``basis_indices``
+order.  The arrays may carry leading stack axes: such a TailVector is a
+stack of vectors, and the inner product, the adjoint, the shifts and the
+boundary form act on every member at once (two stacks pair entrywise).
+The verification suites draw their vectors into one stack each.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (
     AtomFamily,
+    LatticeGrid,
     LatticeVector,
     Window,
-    apply_generator,
-    inner as lattice_inner,
+    act,
+    lattice_grid,
     sign_from_label,
     sign_label,
 )
@@ -86,22 +93,20 @@ class BoundarySpaceView:
         return complex(np.sum(h * np.conj(k) * w / a))
 
 
-def _tail_arrays(family: AtomFamily, source) -> dict[int, np.ndarray]:
-    out = {}
+def _tail_array(family: AtomFamily, source) -> np.ndarray:
+    """Flat amplitudes (plus atoms, then minus atoms) from a mapping sign ->
+    per-atom amplitudes; a missing sign is zero."""
+    parts = []
     for sign in (+1, -1):
         dim = len(family.atoms(sign))
-        arr = np.zeros(dim, dtype=complex)
-        if source is not None:
-            given = source.get(sign)
-            if given is not None:
-                given = np.asarray(given, dtype=complex)
-                if given.shape != (dim,):
-                    raise ValueError(
-                        f"tail amplitudes for sign {sign_label(sign)} must have "
-                        f"length {dim}, got shape {given.shape}")
-                arr = given.copy()
-        out[sign] = arr
-    return out
+        given = (source or {}).get(sign)
+        part = np.asarray(np.zeros(dim) if given is None else given, complex)
+        if part.shape != (dim,):
+            raise ValueError(
+                f"tail amplitudes for sign {sign_label(sign)} must have "
+                f"length {dim}, got shape {part.shape}")
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 class TailVector:
@@ -109,10 +114,12 @@ class TailVector:
 
     ``even[sign][j]`` is the point value on even layers n >= 0 of atom
     (sign, j); ``odd[sign][j]`` the value on odd layers n >= 1.  The finite
-    part may overlap the tail region; point values add.
+    part may overlap the tail region; point values add.  Arrays with leading
+    stack axes (see ``from_arrays``) make a stack of vectors; indexing picks
+    members, and the point-value and JSON methods take single vectors.
     """
 
-    __slots__ = ("finite", "even", "odd")
+    __slots__ = ("finite", "_even", "_odd")
 
     def __init__(self, finite: LatticeVector, even=None, odd=None):
         window = finite.window
@@ -121,8 +128,24 @@ class TailVector:
                 f"tail vectors need a window containing [{MIN_TAIL_WINDOW.n_min}, "
                 f"{MIN_TAIL_WINDOW.n_max}], got {window}")
         self.finite = finite
-        self.even = _tail_arrays(finite.family, even)
-        self.odd = _tail_arrays(finite.family, odd)
+        self._even = _tail_array(finite.family, even)
+        self._odd = _tail_array(finite.family, odd)
+
+    @classmethod
+    def from_arrays(cls, family: AtomFamily, window: Window, coeffs, even,
+                    odd, lost=False) -> "TailVector":
+        """Wrap coefficient and flat amplitude arrays, uncopied."""
+        f = cls.__new__(cls)
+        f.finite = LatticeVector.from_array(family, window, coeffs, lost)
+        f._even, f._odd = even, odd
+        return f
+
+    def __getitem__(self, index) -> "TailVector":
+        lost = self.finite.lost
+        return TailVector.from_arrays(
+            self.family, self.window, self.finite.coeffs[index],
+            self._even[index], self._odd[index],
+            lost[index] if np.ndim(lost) else lost)
 
     @property
     def family(self) -> AtomFamily:
@@ -131,6 +154,26 @@ class TailVector:
     @property
     def window(self) -> Window:
         return self.finite.window
+
+    @property
+    def grid(self) -> LatticeGrid:
+        return self.finite.grid
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(finite coefficients, even amplitudes, odd amplitudes)."""
+        return self.finite.coeffs, self._even, self._odd
+
+    def _by_sign(self, flat: np.ndarray) -> dict[int, np.ndarray]:
+        n_plus = len(self.family.plus)
+        return {+1: flat[..., :n_plus], -1: flat[..., n_plus:]}
+
+    @property
+    def even(self) -> dict[int, np.ndarray]:
+        return self._by_sign(self._even)
+
+    @property
+    def odd(self) -> dict[int, np.ndarray]:
+        return self._by_sign(self._odd)
 
     @classmethod
     def zero(cls, family: AtomFamily, window: Window) -> "TailVector":
@@ -145,10 +188,6 @@ class TailVector:
                   odd=None) -> "TailVector":
         return cls(LatticeVector.zero(family, window), even, odd)
 
-    def tails(self, sign: int) -> tuple[np.ndarray, np.ndarray]:
-        """(even, odd) amplitude arrays for one sign, as copies."""
-        return self.even[sign].copy(), self.odd[sign].copy()
-
     def tail_point_value(self, sign: int, j: int, n: int) -> complex:
         if n >= 0 and n % 2 == 0:
             return complex(self.even[sign][j])
@@ -161,73 +200,71 @@ class TailVector:
                 + self.tail_point_value(sign, j, n))
 
     def is_tail_free(self, tol: float = 0.0) -> bool:
-        return all(
-            np.all(np.abs(part[sign]) <= tol)
-            for part in (self.even, self.odd) for sign in (+1, -1))
+        return bool(np.all(np.abs(self._even) <= tol)
+                    and np.all(np.abs(self._odd) <= tol))
 
     def tail_norm_sq(self) -> float:
         """Squared norm of the tail part alone."""
-        total = 0.0
         q = self.family.q
-        for sign in (+1, -1):
-            for j, atom in enumerate(self.family.atoms(sign)):
-                total += atom.weight / (1.0 - q * q) * (
-                    abs(self.even[sign][j]) ** 2
-                    + q * abs(self.odd[sign][j]) ** 2)
-        return total
+        return np.sum(self.grid.weights / (1.0 - q * q) * (
+            np.abs(self._even) ** 2 + q * np.abs(self._odd) ** 2), axis=-1)
 
     def add(self, other: "TailVector") -> "TailVector":
         self._check_compatible(other)
-        return TailVector(
-            self.finite + other.finite,
-            {s: self.even[s] + other.even[s] for s in (+1, -1)},
-            {s: self.odd[s] + other.odd[s] for s in (+1, -1)})
+        return TailVector.from_arrays(
+            self.family, self.window, self.finite.coeffs + other.finite.coeffs,
+            self._even + other._even, self._odd + other._odd,
+            self.finite.lost | other.finite.lost)
 
     def sub(self, other: "TailVector") -> "TailVector":
         return self.add(other.scale(-1.0))
 
-    def scale(self, c: complex) -> "TailVector":
-        return TailVector(
-            self.finite.scale(c),
-            {s: c * self.even[s] for s in (+1, -1)},
-            {s: c * self.odd[s] for s in (+1, -1)})
+    def scale(self, c) -> "TailVector":
+        """c times the vector; an array c scales the members of a stack."""
+        c = np.asarray(c)
+        return TailVector.from_arrays(
+            self.family, self.window, c[..., None, None] * self.finite.coeffs,
+            c[..., None] * self._even, c[..., None] * self._odd,
+            self.finite.lost)
 
     def inner(self, other: "TailVector") -> complex:
-        """Hilbert space inner product, linear in self."""
+        """Hilbert space inner product, linear in self.  Finite parts pair
+        entrywise, a finite part pairs with a tail through the root masses
+        of the tail layers, and two tails through their geometric masses
+        w / (1 - q^2) (even) and q w / (1 - q^2) (odd)."""
         self._check_compatible(other)
-        total = lattice_inner(self.finite, other.finite)
-        total += _finite_vs_tail(self.finite, other)
-        total += _finite_vs_tail(other.finite, self).conjugate()
-        q = self.family.q
-        for sign in (+1, -1):
-            for j, atom in enumerate(self.family.atoms(sign)):
-                total += atom.weight / (1.0 - q * q) * (
-                    self.even[sign][j] * np.conj(other.even[sign][j])
-                    + q * self.odd[sign][j] * np.conj(other.odd[sign][j]))
-        return complex(total)
+        grid, q = self.grid, self.family.q
+        (fc, fe, fo), (gc, ge, go) = self.arrays(), other.arrays()
+
+        def finite_vs_tail(c, e, o):
+            return np.sum(
+                np.einsum("...rl,rl->...r", c, grid.tail_even) * e.conj()
+                + np.einsum("...rl,rl->...r", c, grid.tail_odd) * o.conj(),
+                axis=-1)
+
+        mass = grid.weights / (1.0 - q * q)
+        tails = np.sum(mass * (fe * ge.conj() + q * fo * go.conj()), axis=-1)
+        finite = np.einsum("...rl,...rl->...", fc, gc.conj())
+        return (finite + finite_vs_tail(fc, ge, go)
+                + finite_vs_tail(gc, fe, fo).conj() + tails)
 
     def norm(self) -> float:
-        return math.sqrt(max(0.0, self.inner(self).real))
+        return np.sqrt(np.maximum(0.0, self.inner(self).real))
 
     def _check_compatible(self, other: "TailVector") -> None:
         self.finite._check_compatible(other.finite)
 
     def to_json(self) -> dict:
-        finite = []
-        for (sign, j, n) in self.finite.support():
-            v = self.finite.entries[(sign, j, n)]
-            finite.append({"sign": sign_label(sign), "j": j, "n": n,
-                           "re": v.real, "im": v.imag})
-        def tail_rows(part):
-            rows = []
-            for sign in (+1, -1):
-                for j, v in enumerate(part[sign]):
-                    if v != 0:
-                        rows.append({"sign": sign_label(sign), "j": j,
-                                     "re": v.real, "im": v.imag})
-            return rows
-        return {"finite": finite, "even_tail": tail_rows(self.even),
-                "odd_tail": tail_rows(self.odd)}
+        finite = [{"sign": sign_label(sign), "j": j, "n": n,
+                   "re": v.real, "im": v.imag}
+                  for (sign, j, n), v in self.finite.entries.items()]
+        def tail_rows(flat):
+            return [{"sign": sign_label(sign), "j": j, "re": v.real,
+                     "im": v.imag}
+                    for (sign, j), v in zip(self.grid.keys, flat.tolist())
+                    if v != 0]
+        return {"finite": finite, "even_tail": tail_rows(self._even),
+                "odd_tail": tail_rows(self._odd)}
 
     @classmethod
     def from_json(cls, data, family: AtomFamily, window: Window) -> "TailVector":
@@ -249,21 +286,9 @@ class TailVector:
                    tail_part(data.get("odd_tail", ())))
 
     def __repr__(self) -> str:
-        ntail = sum(int(np.count_nonzero(part[s]))
-                    for part in (self.even, self.odd) for s in (+1, -1))
-        return (f"TailVector({len(self.finite.entries)} finite entries, "
-                f"{ntail} tail amplitudes)")
-
-
-def _finite_vs_tail(v: LatticeVector, t: TailVector) -> complex:
-    """<v, tail part of t>: finite sum since v has finite support."""
-    total = 0j
-    family = v.family
-    for (sign, j, n), c in v.entries.items():
-        pv = t.tail_point_value(sign, j, n)
-        if pv != 0:
-            total += c * pv.conjugate() * math.sqrt(family.weight(sign, j, n))
-    return total
+        ntail = int(np.count_nonzero(self._even) + np.count_nonzero(self._odd))
+        return (f"TailVector({np.count_nonzero(self.finite.coeffs)} finite "
+                f"entries, {ntail} tail amplitudes)")
 
 
 def materialize(f: TailVector, window: Window | None = None) -> LatticeVector:
@@ -276,17 +301,13 @@ def materialize(f: TailVector, window: Window | None = None) -> LatticeVector:
     target = window if window is not None else f.window
     if target.n_min > f.window.n_min or target.n_max < f.window.n_max:
         raise ValueError("materializing window must contain the source window")
-    family = f.family
-    entries = dict(f.finite.entries)
-    for sign in (+1, -1):
-        for j in range(len(family.atoms(sign))):
-            for n in range(max(0, target.n_min), target.n_max + 1):
-                pv = f.tail_point_value(sign, j, n)
-                if pv != 0:
-                    idx = (sign, j, n)
-                    entries[idx] = entries.get(idx, 0j) + pv * math.sqrt(
-                        family.weight(sign, j, n))
-    return LatticeVector(family, target, entries, f.finite.lost)
+    grid = lattice_grid(f.family, target)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    start = f.window.n_min - target.n_min
+    coeffs[:, start:start + f.window.length + 1] = f.finite.coeffs
+    coeffs += (f._even[:, None] * grid.tail_even
+               + f._odd[:, None] * grid.tail_odd)
+    return LatticeVector.from_array(f.family, target, coeffs, f.finite.lost)
 
 
 def extract_tails(raw: LatticeVector, rel_tol: float = 1e-12) -> TailVector:
@@ -298,44 +319,26 @@ def extract_tails(raw: LatticeVector, rel_tol: float = 1e-12) -> TailVector:
     exactly equal to ``raw`` on its window.  Raises ValueError when the top
     layers are not tail patterned.
     """
-    family, window = raw.family, raw.window
-    top = [window.n_max - k for k in range(4)]
-    if min(top) < 0 or window.n_min > MIN_TAIL_WINDOW.n_min:
+    window, grid = raw.window, raw.grid
+    if window.n_max - 3 < 0 or window.n_min > MIN_TAIL_WINDOW.n_min:
         raise ValueError(
             "tail recognition needs four window layers at nonnegative n")
-    even = {}
-    odd = {}
-    for sign in (+1, -1):
-        dim = len(family.atoms(sign))
-        even[sign] = np.zeros(dim, dtype=complex)
-        odd[sign] = np.zeros(dim, dtype=complex)
-        for j in range(dim):
-            values = {n: raw.point_value(sign, j, n) for n in top}
-            scale = max(1.0, *(abs(v) for v in values.values()))
-            evens = [values[n] for n in top if n % 2 == 0]
-            odds = [values[n] for n in top if n % 2 == 1]
-            if (abs(evens[0] - evens[1]) > rel_tol * scale
-                    or abs(odds[0] - odds[1]) > rel_tol * scale):
-                raise ValueError(
-                    f"vector is not tail patterned at atom "
-                    f"({sign_label(sign)}, {j})")
-            even[sign][j] = evens[0]
-            odd[sign][j] = odds[0]
-
-    entries = dict(raw.entries)
-    for sign in (+1, -1):
-        for j in range(len(family.atoms(sign))):
-            for n in range(max(0, window.n_min), window.n_max + 1):
-                pv = even[sign][j] if n % 2 == 0 else (odd[sign][j] if n >= 1 else 0j)
-                if pv != 0:
-                    idx = (sign, j, n)
-                    c = entries.get(idx, 0j) - pv * math.sqrt(family.weight(sign, j, n))
-                    if c == 0:
-                        entries.pop(idx, None)
-                    else:
-                        entries[idx] = c
-    finite = LatticeVector(family, window, entries, raw.lost)
-    return TailVector(finite, even, odd)
+    # point values on layers n_max, n_max - 1, n_max - 2, n_max - 3
+    values = (raw.coeffs[:, -4:] / grid.root_mass[:, -4:])[:, ::-1]
+    first, second = (values[:, 0::2], values[:, 1::2])
+    evens, odds = (first, second) if window.n_max % 2 == 0 else (second, first)
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
+    bad = ((np.abs(evens[:, 0] - evens[:, 1]) > rel_tol * scale)
+           | (np.abs(odds[:, 0] - odds[:, 1]) > rel_tol * scale))
+    if np.any(bad):
+        sign, j = grid.keys[int(np.argmax(bad))]
+        raise ValueError(
+            f"vector is not tail patterned at atom ({sign_label(sign)}, {j})")
+    even, odd = evens[:, 0].copy(), odds[:, 0].copy()
+    coeffs = raw.coeffs - (even[:, None] * grid.tail_even
+                           + odd[:, None] * grid.tail_odd)
+    return TailVector.from_arrays(raw.family, window, coeffs, even, odd,
+                                  raw.lost)
 
 
 def apply_X_star(f: TailVector) -> TailVector:
@@ -348,24 +351,15 @@ def apply_X_star(f: TailVector) -> TailVector:
     so the result is always tail free.  Edge loss of the finite part is
     flagged on the result, as with the plain generator action.
     """
-    family = f.family
-    image = apply_generator("X", f.finite)
-    entries = dict(image.entries)
-    for sign in (+1, -1):
-        for j, atom in enumerate(family.atoms(sign)):
-            xi = complex(f.even[sign][j])
-            zeta = complex(f.odd[sign][j])
-            if xi != 0:
-                pv = -1j * sign * family.q * xi / atom.position
-                idx = (sign, j, -1)
-                entries[idx] = entries.get(idx, 0j) + pv * math.sqrt(
-                    family.weight(sign, j, -1))
-            if zeta != 0:
-                pv = -1j * sign * zeta / atom.position
-                idx = (sign, j, 0)
-                entries[idx] = entries.get(idx, 0j) + pv * math.sqrt(
-                    family.weight(sign, j, 0))
-    return TailVector(LatticeVector(family, f.window, entries, image.lost))
+    grid, (coeffs, even, odd) = f.grid, f.arrays()
+    out, lost = act("X", grid, coeffs)
+    below, top = grid.column(-1), grid.column(0)
+    signed = grid.position[:, top]
+    out[..., below] += even * (-1j * f.family.q / signed
+                               * grid.root_mass[:, below])
+    out[..., top] += odd * (-1j / signed * grid.root_mass[:, top])
+    return TailVector.from_arrays(f.family, f.window, out, np.zeros_like(even),
+                                  np.zeros_like(odd), f.finite.lost | lost)
 
 
 def apply_U(f: TailVector) -> TailVector:
@@ -376,46 +370,26 @@ def apply_U(f: TailVector) -> TailVector:
     The shifted even tail also covers layer -1, which the new odd tail does
     not, so that single point joins the finite part.
     """
-    family = f.family
-    sq = family.sqrt_q
-    image = apply_generator("U", f.finite)
-    entries = dict(image.entries)
-    even = {}
-    odd = {}
-    for sign in (+1, -1):
-        even[sign] = sq * f.odd[sign]
-        odd[sign] = sq * f.even[sign]
-        for j in range(len(family.atoms(sign))):
-            xi = complex(f.even[sign][j])
-            if xi != 0:
-                idx = (sign, j, -1)
-                entries[idx] = entries.get(idx, 0j) + sq * xi * math.sqrt(
-                    family.weight(sign, j, -1))
-    return TailVector(LatticeVector(family, f.window, entries, image.lost),
-                      even, odd)
+    grid, (coeffs, even, odd) = f.grid, f.arrays()
+    sq = f.family.sqrt_q
+    out, lost = act("U", grid, coeffs)
+    below = grid.column(-1)
+    out[..., below] += sq * even * grid.root_mass[:, below]
+    return TailVector.from_arrays(f.family, f.window, out, sq * odd,
+                                  sq * even, f.finite.lost | lost)
 
 
 def apply_U_star(f: TailVector) -> TailVector:
     """Inverse shift; tails swap parity and scale by 1/sqrt(q).  The new even
     tail claims layer 0, which the shifted odd tail does not reach, so a
     compensating point is subtracted from the finite part."""
-    family = f.family
-    sq = family.sqrt_q
-    image = apply_generator("U*", f.finite)
-    entries = dict(image.entries)
-    even = {}
-    odd = {}
-    for sign in (+1, -1):
-        even[sign] = f.odd[sign] / sq
-        odd[sign] = f.even[sign] / sq
-        for j in range(len(family.atoms(sign))):
-            zeta = complex(f.odd[sign][j])
-            if zeta != 0:
-                idx = (sign, j, 0)
-                entries[idx] = entries.get(idx, 0j) - zeta / sq * math.sqrt(
-                    family.weight(sign, j, 0))
-    return TailVector(LatticeVector(family, f.window, entries, image.lost),
-                      even, odd)
+    grid, (coeffs, even, odd) = f.grid, f.arrays()
+    sq = f.family.sqrt_q
+    out, lost = act("U*", grid, coeffs)
+    top = grid.column(0)
+    out[..., top] -= odd / sq * grid.root_mass[:, top]
+    return TailVector.from_arrays(f.family, f.window, out, odd / sq,
+                                  even / sq, f.finite.lost | lost)
 
 
 def boundary_form(f: TailVector, g: TailVector) -> complex:
@@ -428,15 +402,10 @@ def boundary_form(f: TailVector, g: TailVector) -> complex:
             +i sum_minus (w_j / a_j) (xi_j conj(theta_j) + zeta_j conj(eta_j)).
     """
     f._check_compatible(g)
-    total = 0j
-    for sign in (+1, -1):
-        block = 0j
-        for j, atom in enumerate(f.family.atoms(sign)):
-            block += atom.weight / atom.position * (
-                f.even[sign][j] * np.conj(g.odd[sign][j])
-                + f.odd[sign][j] * np.conj(g.even[sign][j]))
-        total += -1j * sign * block
-    return complex(total)
+    grid = f.grid
+    metric = -1j * grid.weights / grid.position[:, grid.column(0)]
+    return np.sum(metric * (f._even * g._odd.conj() + f._odd * g._even.conj()),
+                  axis=-1)
 
 
 def boundary_form_direct(f: TailVector, g: TailVector) -> complex:

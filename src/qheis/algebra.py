@@ -32,6 +32,15 @@ GENERATOR_LETTERS = ("p", "x", "u", "u^-1")
 # 4200 digits) are refused by check_printable on either
 MAX_PRINT_BITS = 14_000
 
+# Work budget of one power (see _charge): (p + x)^19 fits and (1 + s)^270 does
+# not, the test and benchmark inputs stay under a ninth of it, and at up to
+# 8 us a unit here a refused power stops within a second.
+MAX_POWER_WORK = 100_000
+
+
+class WorkLimitError(ValueError):
+    """A power would take more than MAX_POWER_WORK units of work."""
+
 
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -343,14 +352,42 @@ class NormalMonomial:
 _UNIT_MONO = NormalMonomial("p", 0, 0)
 
 
+def _word_growth(base: Iterable[ScalarQ], paths: int) -> float:
+    """64-bit words that one more factor of the base can add to a
+    coefficient of its power: a coefficient of the e-th power sums at most
+    paths^e products of e base coefficients, so each factor adds at most
+    ceil(log2) of the largest numerator or denominator and of paths."""
+    bits = max((max(abs(x) - 1, 0).bit_length() for c in base
+                for g in c._terms.values() for part in (g.re, g.im)
+                for x in (part.numerator, part.denominator)), default=0)
+    return (bits + (paths - 1).bit_length()) / 64
+
+
+def _charge(work: int, products: int, exponent: int, growth: float) -> int:
+    """A power's work after ``products`` more coefficient-term products
+    toward the ``exponent``-th power, each counted once per word its
+    coefficients can reach; raises past MAX_POWER_WORK."""
+    work += products * (1 + int(exponent * growth))
+    if work > MAX_POWER_WORK:
+        raise WorkLimitError(f"power too costly to compute: over the limit "
+                             f"of {MAX_POWER_WORK} units of work")
+    return work
+
+
 def _scalar_power(c: ScalarQ, n: int) -> ScalarQ:
-    """c^n for n >= 0 by square-and-multiply."""
-    out = _ONE
+    """c^n for n >= 0 by square-and-multiply, within MAX_POWER_WORK."""
+    growth = _word_growth((c,), len(c._terms))
+    out, work, e_out, e_c = _ONE, 0, 0, 1
     while n:
         if n & 1:
+            e_out += e_c
+            work = _charge(work, len(out._terms) * len(c._terms), e_out,
+                           growth)
             out = out * c
         n >>= 1
         if n:
+            e_c *= 2
+            work = _charge(work, len(c._terms) ** 2, e_c, growth)
             c = c * c
     return out
 
@@ -466,8 +503,15 @@ class AlgebraElement:
             return AlgebraElement({
                 NormalMonomial(mono.kind, mono.power * n, mono.uexp * n):
                 _scalar_power(coeff, n) * ScalarQ.s_power(shift)})
-        out = AlgebraElement.one()
-        for _ in range(n):
+        # a product folds each coefficient term of out through each letter
+        # (and the shift) of each coefficient term of self
+        letters = sum(len(c._terms) * (m.power + 1)
+                      for m, c in self._terms.items())
+        growth = _word_growth(self._terms.values(), letters)
+        out, work = AlgebraElement.one(), 0
+        for k in range(1, n + 1):
+            terms = sum(len(c._terms) for c in out._terms.values())
+            work = _charge(work, letters * terms, k, growth)
             out = multiply(out, self)
         return out
 

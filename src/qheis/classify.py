@@ -57,40 +57,54 @@ from .extensions import (
 from .lattice import (
     Atom,
     AtomFamily,
+    LatticeGrid,
     LatticeVector,
     Window,
-    apply_generator,
+    act,
     basis_indices,
     check_relations_lattice,
-    inner,
+    lattice_grid,
     matrix_of,
+    relative_residuals,
+    shift,
+    sparse_sample,
+    x_image,
 )
 
 _LETTER_OP = {"p": "P", "x": "X", "u": "U", "u^-1": "U*"}
 
 
-def apply_element(element: AlgebraElement, v: LatticeVector) -> LatticeVector:
-    """Act with a normal-form element on a window vector.
+def act_element(element: AlgebraElement, grid: LatticeGrid,
+                coeffs: np.ndarray, lost: bool = False) -> np.ndarray:
+    """Act with a normal-form element on a stack of coefficient arrays.
 
-    Each monomial acts right to left: the shift part first, then the power
-    of P or X.  Raises when any step pushes support over the window edge,
-    since a silently truncated image would fake the algebraic identities.
+    Each monomial p^r u^n / x^k u^n acts right to left: a shift by n layers,
+    then r diagonal scales by P or k steps of X, each widening the occupied
+    layers by one.  Raises, before any arithmetic, when a monomial would
+    push support over the window edge (or the input was already cut there):
+    a silently truncated image would fake the algebraic identities.
     """
-    out = LatticeVector.zero(v.family, v.window)
-    s_value = math.sqrt(v.family.q)
+    size = coeffs.shape[-1]
+    used = np.flatnonzero(np.any(coeffs.reshape(-1, size) != 0, axis=0))
+    out = np.zeros(coeffs.shape, dtype=complex)
+    s_value = math.sqrt(grid.family.q)
     for mono, coeff in element.items():
-        vec = v
-        shift = "U" if mono.uexp > 0 else "U*"
-        for _ in range(abs(mono.uexp)):
-            vec = apply_generator(shift, vec)
-        op = _LETTER_OP[mono.kind]
-        for _ in range(mono.power):
-            vec = apply_generator(op, vec)
-        if vec.lost:
+        n, reach = mono.uexp, (mono.power if mono.kind == "x" else 0)
+        if lost or (used.size and (used[0] - n < reach
+                                   or used[-1] - n > size - 1 - reach)):
             raise ValueError(
                 f"monomial {mono} pushed support over the window edge")
-        out = out + vec.scale(complex(coeff.evaluate(s_value)))
+        vec = shift(coeffs, n) if n else coeffs
+        for _ in range(mono.power):
+            vec = x_image(grid, vec) if reach else vec * grid.position
+        out += complex(coeff.evaluate(s_value)) * vec
     return out
+
+
+def apply_element(element: AlgebraElement, v: LatticeVector) -> LatticeVector:
+    """``act_element`` on a window vector."""
+    return LatticeVector.from_array(
+        v.family, v.window, act_element(element, v.grid, v.coeffs, v.lost))
 
 
 def element_margin(element: AlgebraElement) -> int:
@@ -98,8 +112,37 @@ def element_margin(element: AlgebraElement) -> int:
     return max((m.power + abs(m.uexp) for m, _ in element.items()), default=0)
 
 
-def _vec_residual(lhs: LatticeVector, rhs: LatticeVector) -> float:
-    return (lhs - rhs).norm() / max(1.0, lhs.norm(), rhs.norm())
+_LETTER_PAIRS = [(g1, g2) for g1 in GENERATOR_LETTERS
+                 for g2 in GENERATOR_LETTERS]
+
+
+def representation_samples(grid: LatticeGrid, rng: random.Random,
+                           degree: int, n_samples: int):
+    """The random data of ``verify_representation`` in its draw order:
+    three vectors per generator pair (stacked per pair), then per sample
+    the elements a, b and the vectors v, f, g.  A vector has a gauss pair
+    at about half the sites 2 * degree layers clear of the window edges,
+    or else a unit entry at the first of them."""
+    margin = 2 * degree
+    if grid.shape[1] <= 2 * margin or not grid.shape[0]:
+        raise ValueError("window too small for the requested degree")
+
+    def vectors(count: int) -> np.ndarray:
+        out = np.array([sparse_sample(
+            grid, margin, 0.5, rng.random,
+            lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+            for _ in range(count)])
+        out[~out.any(axis=(1, 2)), 0, margin] = 1.0
+        return out
+
+    pairs = vectors(3 * len(_LETTER_PAIRS)).reshape(
+        (len(_LETTER_PAIRS), 3) + grid.shape)
+    samples = []
+    for _ in range(n_samples):
+        a = random_element(rng, max_terms=3, max_len=degree)
+        b = random_element(rng, max_terms=3, max_len=degree)
+        samples.append((a, b, vectors(1)[0], *vectors(2)))
+    return pairs, samples
 
 
 @dataclass
@@ -135,46 +178,27 @@ def verify_representation(family: AtomFamily, window: Window | None = None,
     rng = random.Random(seed)
     if window is None:
         window = Window(-2 * degree - 2, 2 * degree + 3)
-    margin = 2 * degree
-    support = basis_indices(family, window, margin=margin)
-    if not support:
-        raise ValueError("window too small for the requested degree")
+    grid = lattice_grid(family, window)
+    pairs, samples = representation_samples(grid, rng, degree, n_samples)
 
-    def sample_vector() -> LatticeVector:
-        entries = {}
-        for idx in support:
-            if rng.random() < 0.5:
-                entries[idx] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        if not entries:
-            entries[support[0]] = 1.0 + 0j
-        return LatticeVector(family, window, entries)
-
-    worst_pairs = 0.0
-    for g1 in GENERATOR_LETTERS:
-        for g2 in GENERATOR_LETTERS:
-            product = (AlgebraElement.generator(g1)
-                       * AlgebraElement.generator(g2))
-            for _ in range(3):
-                v = sample_vector()
-                direct = apply_generator(
-                    _LETTER_OP[g1], apply_generator(_LETTER_OP[g2], v))
-                via_normal_form = apply_element(product, v)
-                worst_pairs = max(worst_pairs,
-                                  _vec_residual(direct, via_normal_form))
+    residuals = []
+    for (g1, g2), vecs in zip(_LETTER_PAIRS, pairs):
+        direct, _ = act(_LETTER_OP[g2], grid, vecs)
+        direct, _ = act(_LETTER_OP[g1], grid, direct)
+        product = AlgebraElement.generator(g1) * AlgebraElement.generator(g2)
+        residuals.append(relative_residuals(
+            direct, act_element(product, grid, vecs)))
+    worst_pairs = float(np.max(residuals, initial=0.0))
 
     worst_product = 0.0
     worst_star = 0.0
-    for _ in range(n_samples):
-        a = random_element(rng, max_terms=3, max_len=degree)
-        b = random_element(rng, max_terms=3, max_len=degree)
-        v = sample_vector()
-        lhs = apply_element(a * b, v)
-        rhs = apply_element(a, apply_element(b, v))
-        worst_product = max(worst_product, _vec_residual(lhs, rhs))
-
-        f, g = sample_vector(), sample_vector()
-        left = inner(apply_element(a, f), g)
-        right = inner(f, apply_element(star(a), g))
+    for a, b, v, f, g in samples:
+        lhs = act_element(a * b, grid, v)
+        rhs, af = act_element(a, grid, np.stack([act_element(b, grid, v), f]))
+        worst_product = max(worst_product,
+                            float(relative_residuals(lhs, rhs)))
+        left = complex(np.vdot(g, af))
+        right = complex(np.vdot(act_element(star(a), grid, g), f))
         worst_star = max(worst_star, abs(left - right)
                          / max(1.0, abs(left), abs(right)))
 
@@ -620,14 +644,12 @@ def characterization_report(triple: ExtensionTriple,
             "position matrix is hermitian",
             _matrix_residual(pmat, pmat.conj().T), tol))
 
-        worst_mass = 0.0
-        for sign in (+1, -1):
-            for j in range(len(family.atoms(sign))):
-                for n in range(window.n_min, window.n_max):
-                    ratio = family.weight(sign, j, n + 1) / family.weight(sign, j, n)
-                    worst_mass = max(worst_mass, abs(ratio - family.q) / family.q)
+        mass = lattice_grid(family, window).mass
+        ratio = mass[:, 1:] / mass[:, :-1]
         checks.append(VerificationCheck(
-            "point masses scale by q per layer", worst_mass, tol))
+            "point masses scale by q per layer",
+            float(np.max(np.abs(ratio - family.q) / family.q, initial=0.0)),
+            tol))
 
         order = basis_indices(family, window)
         umat = matrix_of("U", family, window)

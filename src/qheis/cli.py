@@ -66,7 +66,7 @@ def load_config(path: str) -> dict:
 
 def triple_from_config(config: dict) -> ExtensionTriple:
     from .extensions import BoundaryMap, ExtensionTriple
-    from .lattice import AtomFamily, Window
+    from .lattice import AtomFamily, Window, check_window
 
     for key in ("family", "window", "map"):
         if key not in config:
@@ -79,6 +79,7 @@ def triple_from_config(config: dict) -> ExtensionTriple:
         raise ConfigError(f"/family: {err}")
     try:
         window = Window.from_json(config["window"])
+        check_window(family, window)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"/window: {err}")
     try:

@@ -40,7 +40,8 @@ from .adjoint import (
     apply_X_star,
     boundary_form,
 )
-from .lattice import AtomFamily, LatticeVector, Window, basis_indices, matrix_of
+from .lattice import (AtomFamily, Window, basis_indices, lattice_grid,
+                      matrix_of, sparse_sample)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -253,39 +254,58 @@ class ExtensionTriple:
 
 def domain_residual(f: TailVector, triple: ExtensionTriple) -> tuple[float, float]:
     """(residual, scale): boundary-metric norm of the condition violation,
-    and the boundary-metric size of the tail data it is measured against."""
-    bmap = triple.bmap
-    xi_p, zeta_p = f.tails(+1)
-    xi_m, zeta_m = f.tails(-1)
-    r1 = (xi_p + zeta_p) - bmap.v @ (xi_m + zeta_m)
-    r2 = (xi_p - zeta_p) - bmap.w @ (xi_m - zeta_m)
-    gh = np.diag(bmap.plus.gram_H())
-    res = math.sqrt(float(
-        np.sum(np.abs(r1) ** 2 * gh) + np.sum(np.abs(r2) ** 2 * gh)))
-    scale = 0.0
-    for view, sign in ((bmap.plus, +1), (bmap.minus, -1)):
-        g = np.diag(view.gram_H())
-        xi, zeta = f.tails(sign)
-        scale += float(np.sum((np.abs(xi) ** 2 + np.abs(zeta) ** 2) * g))
-    return res, math.sqrt(scale)
+    and the boundary-metric size of the tail data it is measured against;
+    arrays of them for a stack."""
+    bmap, d = triple.bmap, triple.bmap.plus.dim
+    _, even, odd = f.arrays()
+    xi_p, zeta_p = even[..., :d], odd[..., :d]
+    xi_m, zeta_m = even[..., d:], odd[..., d:]
+    r1 = (xi_p + zeta_p) - (xi_m + zeta_m) @ bmap.v.T
+    r2 = (xi_p - zeta_p) - (xi_m - zeta_m) @ bmap.w.T
+    metric = np.concatenate([np.diag(view.gram_H())
+                             for view in (bmap.plus, bmap.minus)])
+    res = np.sum((np.abs(r1) ** 2 + np.abs(r2) ** 2) * metric[:d], axis=-1)
+    scale = np.sum((np.abs(even) ** 2 + np.abs(odd) ** 2) * metric, axis=-1)
+    return np.sqrt(res), np.sqrt(scale)
 
 
 def in_domain(f: TailVector, triple: ExtensionTriple,
               tol: float = 1e-10) -> bool:
     res, scale = domain_residual(f, triple)
-    return res <= tol * max(1.0, scale)
+    return bool(res <= tol * max(1.0, scale))
 
 
 def project_to_domain(f: TailVector, triple: ExtensionTriple) -> TailVector:
     """Replace the plus-side tails by the ones the boundary conditions
     dictate; the finite part and the minus tails are kept."""
-    bmap = triple.bmap
-    xi_m, zeta_m = f.tails(-1)
-    h = bmap.v @ (xi_m + zeta_m)
-    k = bmap.w @ (xi_m - zeta_m)
-    return TailVector(f.finite,
-                      {+1: (h + k) / 2.0, -1: xi_m},
-                      {+1: (h - k) / 2.0, -1: zeta_m})
+    bmap, d = triple.bmap, triple.bmap.plus.dim
+    coeffs, even, odd = f.arrays()
+    xi_m, zeta_m = even[..., d:], odd[..., d:]
+    h = (xi_m + zeta_m) @ bmap.v.T
+    k = (xi_m - zeta_m) @ bmap.w.T
+    return TailVector.from_arrays(
+        f.family, f.window, coeffs,
+        np.concatenate([(h + k) / 2.0, xi_m], axis=-1),
+        np.concatenate([(h - k) / 2.0, zeta_m], axis=-1), f.finite.lost)
+
+
+def random_domain_vectors(triple: ExtensionTriple, rng, count: int,
+                          margin: int = 2, density: float = 0.3) -> TailVector:
+    """A stack of ``count`` vectors drawn as ``count`` calls of
+    ``random_domain_vector`` on the same rng would draw them."""
+    grid = lattice_grid(triple.family, triple.window)
+    rows, dim = grid.shape[0], len(triple.family.minus)
+    coeffs = np.zeros((count,) + grid.shape, dtype=complex)
+    even, odd = (np.zeros((count, rows), dtype=complex) for _ in range(2))
+    normal = rng.standard_normal
+    for k in range(count):
+        coeffs[k] = sparse_sample(grid, margin, density, rng.random,
+                                  lambda: complex(normal(), normal()))
+        even[k, rows - dim:] = normal(dim) + 1j * normal(dim)
+        odd[k, rows - dim:] = normal(dim) + 1j * normal(dim)
+    f = project_to_domain(TailVector.from_arrays(
+        triple.family, triple.window, coeffs, even, odd), triple)
+    return f.scale(1.0 / f.norm())
 
 
 def random_domain_vector(triple: ExtensionTriple, rng,
@@ -293,19 +313,7 @@ def random_domain_vector(triple: ExtensionTriple, rng,
     """Random unit vector in the restriction's domain: random minus tails,
     conforming plus tails, and a sparse finite part clear of the window
     edges."""
-    family, window = triple.family, triple.window
-    entries = {}
-    for sign, j, n in basis_indices(family, window, margin=margin):
-        if rng.random() < density:
-            entries[(sign, j, n)] = complex(rng.standard_normal(),
-                                            rng.standard_normal())
-    def amps(dim):
-        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    dim = len(family.minus)
-    f = TailVector(LatticeVector(family, window, entries),
-                   {-1: amps(dim)}, {-1: amps(dim)})
-    f = project_to_domain(f, triple)
-    return f.scale(1.0 / f.norm())
+    return random_domain_vectors(triple, rng, 1, margin, density)[0]
 
 
 def remainder_amplitudes(triple: ExtensionTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -457,6 +465,39 @@ class ExtensionReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
+def _sampled_checks(triple: ExtensionTriple, rng, n_pairs: int,
+                    tol: float) -> list[VerificationCheck]:
+    """The checks of ``verify_extension`` on random domain vectors: pairing,
+    direct adjoint evaluation and shift covariance.  Every vector is drawn
+    first, in the order of the checks that use them: the pairs as f then g,
+    then the shift vectors."""
+    vectors = random_domain_vectors(triple, rng,
+                                    2 * n_pairs + min(n_pairs, 20))
+    f, g = vectors[0:2 * n_pairs:2], vectors[1:2 * n_pairs:2]
+    forms = boundary_form(f, g)
+    checks = [VerificationCheck(
+        "boundary pairing vanishes on conforming pairs",
+        float(np.max(np.abs(forms), initial=0.0)), tol,
+        detail=f"{n_pairs} random unit pairs")]
+
+    # the direct evaluation sums adjoint images whose entries grow like
+    # q^{-n} toward the window top, so compare relative to them
+    f, g = f[:10], g[:10]
+    xf, xg = apply_X_star(f), apply_X_star(g)
+    scale = np.maximum(1.0, xf.norm() * g.norm() + f.norm() * xg.norm())
+    direct = xf.inner(g) - f.inner(xg)
+    checks.append(VerificationCheck(
+        "pairing formula matches direct adjoint evaluation",
+        float(np.max(np.abs(direct - forms[:10]) / scale, initial=0.0)),
+        tol, detail="first 10 pairs, relative to the adjoint image size"))
+
+    res, scale = domain_residual(apply_U(vectors[2 * n_pairs:]), triple)
+    checks.append(VerificationCheck(
+        "shift keeps conforming vectors conforming",
+        float(np.max(res / np.maximum(1.0, scale), initial=0.0)), tol))
+    return checks
+
+
 def verify_extension(triple: ExtensionTriple, n_pairs: int = 100,
                      seed: int | None = None,
                      tol: float = 1e-12) -> ExtensionReport:
@@ -480,60 +521,36 @@ def verify_extension(triple: ExtensionTriple, n_pairs: int = 100,
         "derived maps are boundary-metric unitaries",
         triple.bmap.h_unitarity_residual(), max(tol, 1e-10)))
 
-    worst_pairing = 0.0
-    worst_mismatch = 0.0
-    for it in range(n_pairs):
-        f = random_domain_vector(triple, rng)
-        g = random_domain_vector(triple, rng)
-        worst_pairing = max(worst_pairing, abs(boundary_form(f, g)))
-        if it < 10:
-            # the direct evaluation sums adjoint images whose entries grow
-            # like q^{-n} toward the window top, so compare relative to them
-            xf, xg = apply_X_star(f), apply_X_star(g)
-            scale = max(1.0, xf.norm() * g.norm() + f.norm() * xg.norm())
-            direct = xf.inner(g) - f.inner(xg)
-            worst_mismatch = max(
-                worst_mismatch, abs(direct - boundary_form(f, g)) / scale)
-    report.checks.append(VerificationCheck(
-        "boundary pairing vanishes on conforming pairs", worst_pairing, tol,
-        detail=f"{n_pairs} random unit pairs"))
-    report.checks.append(VerificationCheck(
-        "pairing formula matches direct adjoint evaluation", worst_mismatch,
-        tol, detail="first 10 pairs, relative to the adjoint image size"))
+    pairs_checked, direct_checked, shift_checked = _sampled_checks(
+        triple, rng, n_pairs, tol)
+    report.checks += [pairs_checked, direct_checked]
 
     if triple.bmap.dim > 0:
         unit = np.zeros(triple.bmap.dim, dtype=complex)
         unit[0] = 1.0
         f_bad = TailVector.pure_tail(family, triple.window, even={+1: unit})
         g_bad = TailVector.pure_tail(family, triple.window, odd={+1: unit})
-        ratio = abs(boundary_form(f_bad, g_bad)) / (f_bad.norm() * g_bad.norm())
+        ratio = float(abs(boundary_form(f_bad, g_bad))
+                      / (f_bad.norm() * g_bad.norm()))
         report.checks.append(VerificationCheck(
             "non-conforming pair shows a nonzero pairing", ratio, 1e-3,
             kind="min", detail="plus-side even vs odd unit tails"))
 
-    worst_cov = 0.0
-    for _ in range(min(n_pairs, 20)):
-        f = random_domain_vector(triple, rng)
-        uf = apply_U(f)
-        res, scale = domain_residual(uf, triple)
-        worst_cov = max(worst_cov, res / max(1.0, scale))
-    report.checks.append(VerificationCheck(
-        "shift keeps conforming vectors conforming", worst_cov, tol))
+    report.checks.append(shift_checked)
 
-    worst_norm = 0.0
+    # one unit tail per atom and parity, against its partial geometric sum
+    grid = lattice_grid(family, triple.window)
+    rows = grid.shape[0]
     terms = int(math.ceil(math.log(1e-18 * (1 - q * q)) / (2 * math.log(q)))) + 1
-    for sign in (+1, -1):
-        for j, atom in enumerate(family.atoms(sign)):
-            unit = np.zeros(len(family.atoms(sign)), dtype=complex)
-            unit[j] = 1.0
-            even = TailVector.pure_tail(family, triple.window, even={sign: unit})
-            odd = TailVector.pure_tail(family, triple.window, odd={sign: unit})
-            even_sum = sum(atom.weight * q ** (2 * m) for m in range(terms))
-            odd_sum = sum(atom.weight * q ** (2 * m + 1) for m in range(terms))
-            worst_norm = max(
-                worst_norm,
-                abs(even.inner(even) - even_sum) / even_sum,
-                abs(odd.inner(odd) - odd_sum) / odd_sum)
+    units, none = np.eye(rows, dtype=complex), np.zeros((rows, rows))
+    worst_norm = 0.0
+    for parity, tails in ((0, (units, none)), (1, (none, units))):
+        unit = TailVector.from_arrays(family, triple.window, np.zeros(
+            (rows,) + grid.shape, dtype=complex), *tails)
+        sums = np.array([sum(w * q ** (2 * m + parity) for m in range(terms))
+                         for w in grid.weights])
+        worst_norm = max(worst_norm, float(np.max(
+            np.abs(unit.inner(unit) - sums) / sums, initial=0.0)))
     report.checks.append(VerificationCheck(
         "tail norms match their geometric sums", worst_norm, max(tol, 1e-13),
         detail=f"partial sums to {terms} terms"))

@@ -423,3 +423,21 @@ class TestPrinting:
         c = ONE + I
         assert str(AlgebraElement.from_scalar(c)) == "(1 + i)"
         assert str(elem((mono("p", 1, 0), ONE + S(2)))) == "(1 + s^2)*p"
+
+
+class TestPowerWorkLimit:
+    def test_costly_powers_raise_a_value_error(self):
+        from qheis.algebra import WorkLimitError
+        sum_element = AlgebraElement.generator("p") + AlgebraElement.generator("x")
+        with pytest.raises(WorkLimitError, match="too costly"):
+            sum_element ** 40
+        scalar = AlgebraElement.from_scalar(ScalarQ.one() + ScalarQ.s_power(1))
+        with pytest.raises(ValueError, match="too costly"):
+            scalar ** 1000
+
+    def test_powers_under_the_limit_match_repeated_products(self):
+        sum_element = AlgebraElement.generator("p") + AlgebraElement.generator("x")
+        out = AlgebraElement.one()
+        for _ in range(12):
+            out = out * sum_element
+        assert sum_element ** 12 == out

@@ -129,6 +129,17 @@ class TestNormalForm:
         assert "Traceback" not in result.stderr
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("expression", ["(p+x)^40", "(1+s)^1000"])
+    def test_costly_multi_term_powers_hit_the_work_limit(self, expression):
+        start = time.monotonic()
+        result = run_cli("normal-form", expression, timeout=30)
+        elapsed = time.monotonic() - start
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: power too costly to compute")
+        assert "Traceback" not in result.stderr
+        assert elapsed < 2.0
+
     @pytest.mark.parametrize("expression,message", [
         ("1/0", "syntax error at offset 2: expected a nonzero denominator"),
         ("(1/0)*p", "syntax error at offset 3: expected a nonzero denominator"),
@@ -312,6 +323,24 @@ class TestSpectrum:
             assert result.returncode == 0, result.stderr
             assert "Traceback" not in result.stderr
             assert json.loads(result.stdout)["status"] == "pass"
+
+
+    @pytest.mark.parametrize("command", ("spectrum", "verify"))
+    @pytest.mark.parametrize("n_min,n_max", ((-6, 480), (-480, 6)))
+    def test_windows_beyond_the_float_range_are_config_errors(
+            self, command, n_min, n_max, tmp_path):
+        # at q = 0.2, q^480 underflows to zero and q^-480 overflows
+        example = run_cli("example", "--kind", "1", "--q", "0.2")
+        config = json.loads(example.stdout)
+        config["window"] = {"n_min": n_min, "n_max": n_max}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(config))
+        result = run_cli(command, "--config", str(path), timeout=30)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "/window:" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestClassify:

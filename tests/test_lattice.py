@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from lattice_oracle import inner_raw
 from qheis.lattice import (
     Atom,
     AtomFamily,
@@ -15,7 +16,6 @@ from qheis.lattice import (
     basis_indices,
     check_relations_lattice,
     inner,
-    inner_raw,
     matrix_of,
 )
 
