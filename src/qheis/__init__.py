@@ -27,17 +27,17 @@ _EXPORTS = {
         "boundary_form", "boundary_form_direct", "extract_tails",
         "materialize"),
     "extensions": (
-        "AssembledOperator", "BoundaryMap", "ExtensionTriple", "assemble",
-        "domain_residual", "in_domain", "make_boundary_map",
-        "project_to_domain", "random_boundary_map", "random_domain_vector",
-        "spectrum", "verify_extension"),
+        "AssembledOperator", "BoundaryMap", "CommutantProblem",
+        "ExtensionTriple", "assemble", "domain_residual", "in_domain",
+        "make_boundary_map", "project_to_domain", "random_boundary_map",
+        "random_domain_vector", "spectrum", "verify_extension"),
     "catalog": ("CATALOG_KINDS",),
     "classify": (
-        "CommutantProblem", "apply_element", "build_catalog_triple",
-        "characterization_report", "commutant_dim", "dft_matrix",
-        "distinct_position_triple", "irreducibility_report",
-        "repeated_position_triple", "single_atom_triple", "two_block_triple",
-        "unitary_equivalent", "verify_representation"),
+        "apply_element", "build_catalog_triple", "characterization_report",
+        "commutant_dim", "dft_matrix", "distinct_position_triple",
+        "irreducibility_report", "repeated_position_triple",
+        "single_atom_triple", "two_block_triple", "unitary_equivalent",
+        "verify_representation"),
     "schrodinger": (
         "GaussianElement", "SchrodingerParams", "act_schrodinger",
         "apply_word", "consolidate", "grid_residual", "h_function",

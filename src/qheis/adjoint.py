@@ -19,8 +19,10 @@ boundary form
     T(f, g) = <X* f, g> - <f, X* g>
 
 measures the failure of symmetry; it depends only on the tail amplitudes and
-has a closed form in the atom-weighted boundary metric.  Both the direct and
-the closed-form evaluation are provided so each can check the other.
+has a closed form in the boundary metric w_j / a_j of atom weights over
+positions.  Both the direct and the closed-form evaluation are provided so
+each can check the other.  The per-sign boundary data itself (positions,
+weights, boundary matrices) is one record, ``qheis.extensions.BoundaryMap``.
 
 A TailVector holds its finite part as a ``LatticeVector`` coefficient array
 and its amplitudes as two flat arrays over the atoms in ``basis_indices``
@@ -30,8 +32,6 @@ boundary form act on every member at once (two stacks pair entrywise).
 The verification suites draw their vectors into one stack each.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,48 +49,6 @@ from .lattice import (
 # the adjoint action deposits tail contributions at layers -1 and 0, so any
 # window carrying a TailVector must contain both
 MIN_TAIL_WINDOW = Window(-1, 0)
-
-
-@dataclass(frozen=True)
-class BoundarySpaceView:
-    """Per-sign boundary data: atom positions and weights at layer zero.
-
-    Two metrics matter.  The plain one (gram_K) weighs coordinate j by the
-    atom weight w_j; the form metric (gram_H) weighs it by w_j / a_j, where
-    a_j is the unsigned atom position.  The boundary form is an H-metric
-    pairing, while natural parametrizations of boundary maps tend to be
-    K-metric isometries; the conversion between the two is diagonal.
-    """
-
-    sign: int
-    positions: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    @classmethod
-    def from_family(cls, family: AtomFamily, sign: int) -> "BoundarySpaceView":
-        atoms = family.atoms(sign)
-        return cls(sign, tuple(a.position for a in atoms),
-                   tuple(a.weight for a in atoms))
-
-    @property
-    def dim(self) -> int:
-        return len(self.positions)
-
-    def gram_K(self) -> np.ndarray:
-        return np.diag(np.asarray(self.weights, dtype=float))
-
-    def gram_H(self) -> np.ndarray:
-        w = np.asarray(self.weights, dtype=float)
-        a = np.asarray(self.positions, dtype=float)
-        return np.diag(w / a)
-
-    def metric_H(self, h, k) -> complex:
-        """Sum of h_j conj(k_j) w_j / a_j, linear in the first slot."""
-        h = np.asarray(h, dtype=complex)
-        k = np.asarray(k, dtype=complex)
-        w = np.asarray(self.weights, dtype=float)
-        a = np.asarray(self.positions, dtype=float)
-        return complex(np.sum(h * np.conj(k) * w / a))
 
 
 def _tail_array(family: AtomFamily, source) -> np.ndarray:
@@ -249,7 +207,19 @@ class TailVector:
                 + finite_vs_tail(gc, fe, fo).conj() + tails)
 
     def norm(self) -> float:
-        return np.sqrt(np.maximum(0.0, self.inner(self).real))
+        """Where a square overflows, each member is first divided by the
+        power of two nearest its largest entry, as in ``relative_residual``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = self.inner(self).real
+        if np.isfinite(square).all():  # einsum sums overflow silently
+            return np.sqrt(np.maximum(0.0, square))
+        coeffs, even, odd = self.arrays()
+        exp = np.frexp(np.maximum.reduce([
+            np.max(np.abs(coeffs), axis=(-2, -1), initial=0.0),
+            np.max(np.abs(even), axis=-1, initial=0.0),
+            np.max(np.abs(odd), axis=-1, initial=0.0)]))[1]
+        unit = self.scale(np.ldexp(1.0, -exp))
+        return np.ldexp(np.sqrt(np.maximum(0.0, unit.inner(unit).real)), exp)
 
     def _check_compatible(self, other: "TailVector") -> None:
         self.finite._check_compatible(other.finite)

@@ -656,6 +656,22 @@ def _fold(state: dict, letters: Iterable[str]) -> dict:
     return state
 
 
+def _fold_run(state: dict, letter: str, count: int) -> dict:
+    """_fold(state, (letter,) * count) for letter p or x.  A letter lowers
+    the power of keys of the other kind and raises all others, so once
+    those powers are spent the rest of the run raises every power at once:
+    u^n p^r = s^2nr p^r u^n and u^n x^r = s^-2nr x^r u^n."""
+    steps = min(count, max((power for kind, power, _ in state
+                            if kind != letter), default=0))
+    state = _fold(state, (letter,) * steps)
+    count -= steps
+    if not count:
+        return state
+    e = (2 if letter == "p" else -2) * count
+    return {(letter, power + count, n): _unit_shift(c, 0, e * n)
+            for (_, power, n), c in state.items()}
+
+
 def _element(state: dict) -> AlgebraElement:
     return AlgebraElement({NormalMonomial(*key): ScalarQ(coeff)
                            for key, coeff in state.items()})
@@ -818,7 +834,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     start = {(m.kind, m.power, m.uexp): c._terms for m, c in a._terms.items()}
     acc: dict = {}
     for mb, cb in b._terms.items():
-        piece = _fold(start, (mb.kind,) * mb.power)
+        piece = _fold_run(start, mb.kind, mb.power)
         for (kind, power, n), coeff in piece.items():
             key = (kind, power, n + mb.uexp)
             for e, g in cb._terms.items():

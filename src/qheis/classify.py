@@ -6,9 +6,10 @@ normal-form element into an operator on window vectors; ``apply_element``
 evaluates it and ``verify_representation`` spot checks that products and the
 involution are represented faithfully.
 
-Classification works on the boundary data alone.  A restriction is recorded
-as a ``CommutantProblem`` (atom positions and weights per sign plus the
-primitive boundary matrices), and everything reduces to linear algebra:
+Classification works on the boundary data alone: the ``CommutantProblem``
+of ``qheis.extensions`` (atom positions and weights per sign plus the
+primitive boundary matrices), which a triple's ``BoundaryMap`` already is.
+Everything reduces to linear algebra:
 
 * the commutant of a problem is the null space of an intertwining system;
   the restriction is irreducible exactly when that space is the scalars;
@@ -47,10 +48,10 @@ from .algebra import (
     star,
 )
 from .catalog import CATALOG_KINDS  # re-exported: defined apart, see catalog
-from .extensions import (
+from .extensions import (  # CommutantProblem re-exported
     BoundaryMap,
+    CommutantProblem,
     ExtensionTriple,
-    VerificationCheck,
     make_boundary_map,
     z_block_unitary,
 )
@@ -59,13 +60,14 @@ from .lattice import (
     AtomFamily,
     LatticeGrid,
     LatticeVector,
+    VerificationCheck,
     Window,
     act,
     basis_indices,
     check_relations_lattice,
     lattice_grid,
     matrix_of,
-    relative_residuals,
+    relative_residual,
     shift,
     sparse_sample,
     x_image,
@@ -186,8 +188,8 @@ def verify_representation(family: AtomFamily, window: Window | None = None,
         direct, _ = act(_LETTER_OP[g2], grid, vecs)
         direct, _ = act(_LETTER_OP[g1], grid, direct)
         product = AlgebraElement.generator(g1) * AlgebraElement.generator(g2)
-        residuals.append(relative_residuals(
-            direct, act_element(product, grid, vecs)))
+        residuals.append(relative_residual(
+            direct, act_element(product, grid, vecs), axis=(-2, -1)))
     worst_pairs = float(np.max(residuals, initial=0.0))
 
     worst_product = 0.0
@@ -196,7 +198,7 @@ def verify_representation(family: AtomFamily, window: Window | None = None,
         lhs = act_element(a * b, grid, v)
         rhs, af = act_element(a, grid, np.stack([act_element(b, grid, v), f]))
         worst_product = max(worst_product,
-                            float(relative_residuals(lhs, rhs)))
+                            float(relative_residual(lhs, rhs, axis=(-2, -1))))
         left = complex(np.vdot(g, af))
         right = complex(np.vdot(act_element(star(a), grid, g), f))
         worst_star = max(worst_star, abs(left - right)
@@ -211,49 +213,6 @@ def verify_representation(family: AtomFamily, window: Window | None = None,
                           worst_star, tol),
     ]
     return RepresentationReport(checks, degree, n_samples, seed)
-
-
-@dataclass
-class CommutantProblem:
-    """Boundary data of one restriction, in primitive (weight-metric)
-    coordinates: diagonal position matrices per sign and the two boundary
-    matrices."""
-
-    plus_positions: np.ndarray
-    plus_weights: np.ndarray
-    minus_positions: np.ndarray
-    minus_weights: np.ndarray
-    vprime: np.ndarray
-    wprime: np.ndarray
-
-    def __post_init__(self):
-        self.plus_positions = np.asarray(self.plus_positions, dtype=float)
-        self.plus_weights = np.asarray(self.plus_weights, dtype=float)
-        self.minus_positions = np.asarray(self.minus_positions, dtype=float)
-        self.minus_weights = np.asarray(self.minus_weights, dtype=float)
-        self.vprime = np.asarray(self.vprime, dtype=complex)
-        self.wprime = np.asarray(self.wprime, dtype=complex)
-        if len(self.plus_positions) != len(self.minus_positions):
-            raise ValueError("problems need equally many atoms on both signs")
-
-    @property
-    def dim(self) -> int:
-        return len(self.plus_positions)
-
-    @classmethod
-    def from_triple(cls, triple: ExtensionTriple) -> "CommutantProblem":
-        bmap = triple.bmap
-        return cls(bmap.plus.positions, bmap.plus.weights,
-                   bmap.minus.positions, bmap.minus.weights,
-                   bmap.vprime, bmap.wprime)
-
-    def data_equal(self, other: "CommutantProblem") -> bool:
-        return (np.array_equal(self.plus_positions, other.plus_positions)
-                and np.array_equal(self.plus_weights, other.plus_weights)
-                and np.array_equal(self.minus_positions, other.minus_positions)
-                and np.array_equal(self.minus_weights, other.minus_weights)
-                and np.array_equal(self.vprime, other.vprime)
-                and np.array_equal(self.wprime, other.wprime))
 
 
 def _intertwiner_system(p1: CommutantProblem, p2: CommutantProblem,
@@ -341,30 +300,25 @@ def irreducibility_report(problem: CommutantProblem,
     return IrreducibilityReport(problem.dim, basis.shape[1], *health)
 
 
-def _matrix_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    return float(np.linalg.norm(lhs - rhs)
-                 / max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs)))
-
-
 def _witness_residuals(p1, p2, a_plus, a_minus) -> dict[str, float]:
     g1p, g2p = np.diag(p1.plus_weights), np.diag(p2.plus_weights)
     g1m, g2m = np.diag(p1.minus_weights), np.diag(p2.minus_weights)
-    return {
-        "plus positions intertwine": _matrix_residual(
+    sides = {
+        "plus positions intertwine": (
             a_plus @ np.diag(p1.plus_positions),
             np.diag(p2.plus_positions) @ a_plus),
-        "minus positions intertwine": _matrix_residual(
+        "minus positions intertwine": (
             a_minus @ np.diag(p1.minus_positions),
             np.diag(p2.minus_positions) @ a_minus),
-        "first boundary matrix intertwines": _matrix_residual(
+        "first boundary matrix intertwines": (
             a_plus @ p1.vprime, p2.vprime @ a_minus),
-        "second boundary matrix intertwines": _matrix_residual(
+        "second boundary matrix intertwines": (
             a_plus @ p1.wprime, p2.wprime @ a_minus),
-        "plus metric preserved": _matrix_residual(
-            a_plus.conj().T @ g2p @ a_plus, g1p),
-        "minus metric preserved": _matrix_residual(
-            a_minus.conj().T @ g2m @ a_minus, g1m),
+        "plus metric preserved": (a_plus.conj().T @ g2p @ a_plus, g1p),
+        "minus metric preserved": (a_minus.conj().T @ g2m @ a_minus, g1m),
     }
+    return {name: float(relative_residual(*pair))
+            for name, pair in sides.items()}
 
 
 @dataclass
@@ -517,7 +471,7 @@ def distinct_position_triple(q: float = 0.5, positions=(0.55, 0.7, 0.85),
                         [Atom(a) for a in positions])
     bmap = BoundaryMap(family, vprime, np.eye(dim))
     triple = ExtensionTriple(family, window or _default_window(), bmap)
-    report = irreducibility_report(CommutantProblem.from_triple(triple))
+    report = irreducibility_report(triple.bmap)
     if not report.irreducible:
         raise ValueError(
             "the chosen block leaves a nonscalar diagonal commutant; "
@@ -575,7 +529,7 @@ def two_block_triple(q: float = 0.5, block_positions=(0.6, 0.8),
     triple = ExtensionTriple(family, window or _default_window(), bmap)
     # the commutant of the triple is {diag(X, X)} for X in the joint
     # commutant of T and T*, so the two are scalar together
-    if commutant_dim(CommutantProblem.from_triple(triple)) != 1:
+    if commutant_dim(triple.bmap) != 1:
         raise ValueError("T and T* must have only scalar joint commutants")
     return triple
 
@@ -642,7 +596,7 @@ def characterization_report(triple: ExtensionTriple,
         pmat = matrix_of("P", family, window)
         checks.append(VerificationCheck(
             "position matrix is hermitian",
-            _matrix_residual(pmat, pmat.conj().T), tol))
+            float(relative_residual(pmat, pmat.conj().T)), tol))
 
         mass = lattice_grid(family, window).mass
         ratio = mass[:, 1:] / mass[:, :-1]
@@ -665,7 +619,7 @@ def characterization_report(triple: ExtensionTriple,
         sub = xmat[np.ix_(interior, interior)]
         checks.append(VerificationCheck(
             "difference operator is symmetric on the interior",
-            _matrix_residual(sub, sub.conj().T), tol))
+            float(relative_residual(sub, sub.conj().T)), tol))
     else:
         checks.append(VerificationCheck(
             "defining relations hold on the lattice", math.inf, tol,

@@ -220,12 +220,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .classify import CommutantProblem, irreducibility_report
+    from .classify import irreducibility_report
 
     config = load_config(args.config)
-    triple = triple_from_config(config)
-    problem = CommutantProblem.from_triple(triple)
-    result = irreducibility_report(problem)
+    result = irreducibility_report(triple_from_config(config).bmap)
     report = build_report(config, "pass", {
         "task": "classify",
         "verdict": "irreducible" if result.irreducible else "reducible",
@@ -236,16 +234,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    from .classify import CommutantProblem, unitary_equivalent
+    from .classify import unitary_equivalent
 
     config_a = load_config(args.config_a)
     config_b = load_config(args.config_b)
     triple_a = triple_from_config(config_a)
     triple_b = triple_from_config(config_b)
     tol = max(config_tol(config_a, 1e-10), config_tol(config_b, 1e-10))
-    result = unitary_equivalent(CommutantProblem.from_triple(triple_a),
-                                CommutantProblem.from_triple(triple_b),
-                                tol=tol)
+    result = unitary_equivalent(triple_a.bmap, triple_b.bmap, tol=tol)
     decided = result.verdict in ("equivalent", "inequivalent")
     config = {"a": config_a, "b": config_b}
     report = build_report(config, "pass" if decided else "fail", {

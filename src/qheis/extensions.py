@@ -17,31 +17,31 @@ plain atom-weight metric diag(w_j); the diagonal position rescaling
 converts a weight isometry into a boundary-metric unitary, so users supply
 V', W' and the derived maps do the analytic work.
 
+The boundary data is one record: a ``CommutantProblem`` holds the atom
+positions and weights of each sign plus V' and W', and ``BoundaryMap`` is
+that record built from an ``AtomFamily``, with the derived maps, the
+boundary metric and the JSON round trip on top.
+
 ``assemble`` compresses the restricted operator to a finite model space:
 every lattice site strictly inside the window, plus one conforming tail
 remainder per minus atom and parity.  A remainder is a closed-form tail
 that starts at layer n_max, given by its point values on the two parity
 classes of layers, so the model's Gram and action matrices are built from
-a few array operations with no cancelling sums.  The model space sits
+a few array operations with no cancelling sums; the site block is written
+from the ``LatticeGrid`` X coefficients.  The model space sits
 inside the operator domain, so the compressed matrix is Hermitian up to
 rounding and its spectrum approximates the restriction's.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adjoint import (
-    BoundarySpaceView,
-    TailVector,
-    apply_U,
-    apply_X_star,
-    boundary_form,
-)
-from .lattice import (AtomFamily, Window, basis_indices, lattice_grid,
-                      matrix_of, sparse_sample)
+from .adjoint import TailVector, apply_U, apply_X_star, boundary_form
+from .lattice import (AtomFamily, VerificationCheck, Window, lattice_grid,
+                      relative_residual, sparse_sample)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -79,8 +79,43 @@ def z_block_unitary(t_block) -> np.ndarray:
                      [-psd_sqrt(eye - t.conj().T @ t), t.conj().T]])
 
 
-class BoundaryMap:
-    """Primitive boundary matrices tying minus-side tails to the plus side.
+@dataclass(eq=False)
+class CommutantProblem:
+    """Boundary data of one restriction, in primitive (weight-metric)
+    coordinates: atom positions a and weights w per sign, and the two
+    boundary matrices V' and W'.  Classification works on this alone."""
+
+    plus_positions: np.ndarray
+    plus_weights: np.ndarray
+    minus_positions: np.ndarray
+    minus_weights: np.ndarray
+    vprime: np.ndarray
+    wprime: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = complex if f.name.endswith("prime") else float
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype))
+        if len(self.plus_positions) != len(self.minus_positions):
+            raise ValueError(
+                "boundary conditions need equally many atoms on both signs")
+
+    @property
+    def dim(self) -> int:
+        return len(self.plus_positions)
+
+    @classmethod
+    def from_triple(cls, triple: "ExtensionTriple") -> "CommutantProblem":
+        """The triple's boundary map, which is its commutant problem."""
+        return triple.bmap
+
+    def data_equal(self, other: "CommutantProblem") -> bool:
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+
+class BoundaryMap(CommutantProblem):
+    """The boundary data of a family's restriction, built from the family.
 
     ``vprime`` and ``wprime`` are square matrices satisfying the weight
     isometry V'* diag(w+) V' = diag(w-); the derived maps ``v`` and ``w``
@@ -89,33 +124,25 @@ class BoundaryMap:
     the isometry, e.g. to demonstrate failure reporting.
     """
 
-    __slots__ = ("plus", "minus", "vprime", "wprime", "phases")
-
     def __init__(self, family: AtomFamily, vprime, wprime,
                  validate: bool = True, phases=None):
-        self.plus = BoundarySpaceView.from_family(family, +1)
-        self.minus = BoundarySpaceView.from_family(family, -1)
-        self.vprime = _as_matrix(vprime, self.plus.dim, self.minus.dim, "Vprime")
-        self.wprime = _as_matrix(wprime, self.plus.dim, self.minus.dim, "Wprime")
+        plus, minus = family.plus, family.minus
+        super().__init__(
+            [a.position for a in plus], [a.weight for a in plus],
+            [a.position for a in minus], [a.weight for a in minus],
+            _as_matrix(vprime, len(plus), len(minus), "Vprime"),
+            _as_matrix(wprime, len(plus), len(minus), "Wprime"))
         self.phases = phases
         if validate:
-            if self.plus.dim != self.minus.dim:
-                raise ValueError(
-                    "boundary conditions need equally many atoms on both signs")
             res = self.k_isometry_residual()
             if not res <= 1e-10:
                 raise ValueError(
                     f"boundary matrices are not weight isometries "
                     f"(residual {res:.3g}); pass validate=False to keep them")
 
-    @property
-    def dim(self) -> int:
-        return self.plus.dim
-
     def _derived(self, primitive: np.ndarray) -> np.ndarray:
-        left = np.sqrt(np.asarray(self.plus.positions, dtype=float))
-        right = np.sqrt(np.asarray(self.minus.positions, dtype=float))
-        return (left[:, None] * primitive) / right[None, :]
+        return ((np.sqrt(self.plus_positions)[:, None] * primitive)
+                / np.sqrt(self.minus_positions)[None, :])
 
     @property
     def v(self) -> np.ndarray:
@@ -125,15 +152,20 @@ class BoundaryMap:
     def w(self) -> np.ndarray:
         return self._derived(self.wprime)
 
+    def metric(self) -> tuple[np.ndarray, np.ndarray]:
+        """The boundary metric w / a of each sign."""
+        return (self.plus_weights / self.plus_positions,
+                self.minus_weights / self.minus_positions)
+
     def k_isometry_residual(self) -> float:
         """nan when the products overflow."""
-        gp, gm = self.plus.gram_K(), self.minus.gram_K()
+        gp, gm = np.diag(self.plus_weights), np.diag(self.minus_weights)
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.max([np.linalg.norm(m.conj().T @ gp @ m - gm)
                                  for m in (self.vprime, self.wprime)]))
 
     def h_unitarity_residual(self) -> float:
-        gp, gm = self.plus.gram_H(), self.minus.gram_H()
+        gp, gm = (np.diag(g) for g in self.metric())
         return max(
             float(np.linalg.norm(m.conj().T @ gp @ m - gm))
             for m in (self.v, self.w))
@@ -228,8 +260,9 @@ class ExtensionTriple:
             raise ValueError("restriction models need a window of length >= 2")
         if window.n_min > -1 or window.n_max < 0:
             raise ValueError("window must contain the layers -1 and 0")
-        if (bmap.plus.positions != tuple(a.position for a in family.plus)
-                or bmap.minus.positions != tuple(a.position for a in family.minus)):
+        if any(not np.array_equal(mine, [a.position for a in atoms])
+               for mine, atoms in ((bmap.plus_positions, family.plus),
+                                   (bmap.minus_positions, family.minus))):
             raise ValueError("boundary map was built for a different family")
         self.family = family
         self.window = window
@@ -256,14 +289,13 @@ def domain_residual(f: TailVector, triple: ExtensionTriple) -> tuple[float, floa
     """(residual, scale): boundary-metric norm of the condition violation,
     and the boundary-metric size of the tail data it is measured against;
     arrays of them for a stack."""
-    bmap, d = triple.bmap, triple.bmap.plus.dim
+    bmap, d = triple.bmap, triple.bmap.dim
     _, even, odd = f.arrays()
     xi_p, zeta_p = even[..., :d], odd[..., :d]
     xi_m, zeta_m = even[..., d:], odd[..., d:]
     r1 = (xi_p + zeta_p) - (xi_m + zeta_m) @ bmap.v.T
     r2 = (xi_p - zeta_p) - (xi_m - zeta_m) @ bmap.w.T
-    metric = np.concatenate([np.diag(view.gram_H())
-                             for view in (bmap.plus, bmap.minus)])
+    metric = np.concatenate(bmap.metric())
     res = np.sum((np.abs(r1) ** 2 + np.abs(r2) ** 2) * metric[:d], axis=-1)
     scale = np.sum((np.abs(even) ** 2 + np.abs(odd) ** 2) * metric, axis=-1)
     return np.sqrt(res), np.sqrt(scale)
@@ -278,7 +310,7 @@ def in_domain(f: TailVector, triple: ExtensionTriple,
 def project_to_domain(f: TailVector, triple: ExtensionTriple) -> TailVector:
     """Replace the plus-side tails by the ones the boundary conditions
     dictate; the finite part and the minus tails are kept."""
-    bmap, d = triple.bmap, triple.bmap.plus.dim
+    bmap, d = triple.bmap, triple.bmap.dim
     coeffs, even, odd = f.arrays()
     xi_m, zeta_m = even[..., d:], odd[..., d:]
     h = (xi_m + zeta_m) @ bmap.v.T
@@ -325,7 +357,7 @@ def remainder_amplitudes(triple: ExtensionTriple) -> tuple[np.ndarray, np.ndarra
     atoms, and columns over the even remainders, then the odd ones.
     """
     bmap = triple.bmap
-    dim = bmap.minus.dim
+    dim = bmap.dim
     eye = np.eye(dim)
     zero = np.zeros((dim, dim))
     total, diff = (bmap.v + bmap.w) / 2.0, (bmap.v - bmap.w) / 2.0
@@ -354,8 +386,7 @@ class AssembledOperator:
         return len(self.labels)
 
     def hermiticity_residual(self) -> float:
-        return float(np.linalg.norm(self.form - self.form.conj().T)
-                     / max(1.0, np.linalg.norm(self.form)))
+        return float(relative_residual(self.form, self.form.conj().T))
 
     def hermitian_matrix(self) -> np.ndarray:
         """The model matrix in an orthonormal basis: L^{-1} R L^{-*} for the
@@ -383,19 +414,17 @@ def assemble(triple: ExtensionTriple) -> AssembledOperator:
     at layer N - 1 and (i / t_N)(-B) at layer N, and no others.
     """
     family, window = triple.family, triple.window
-    q = family.q
-    full = basis_indices(family, window)
-    interior = [k for k, (_, _, n) in enumerate(full) if window.is_interior(n)]
-    labels = [("site",) + full[k] for k in interior]
+    q, grid = family.q, lattice_grid(family, window)
+    layers = range(window.n_min + 1, window.n_max)
+    labels = [("site", sign, j, n) for sign, j in grid.keys for n in layers]
     n_sites = len(labels)
     labels += [("tail", parity, k) for parity in ("even", "odd")
                for k in range(len(family.minus))]
-    atoms = [(sign, atom) for sign in (+1, -1) for atom in family.atoms(sign)]
 
     # basis coefficients of the normalized remainders on layers N and N + 1;
     # q^N cancels between the tail mass and the point masses
     first, second = remainder_amplitudes(triple)
-    root_w = np.sqrt([atom.weight for _, atom in atoms])
+    root_w = np.sqrt(grid.weights)
     alpha = root_w[:, None] * first
     beta = math.sqrt(q) * root_w[:, None] * second
     scale = np.sqrt((1.0 - q * q) / np.sum(
@@ -407,14 +436,15 @@ def assemble(triple: ExtensionTriple) -> AssembledOperator:
     gram[n_sites:, n_sites:] = (alpha.conj().T @ alpha
                                 + beta.conj().T @ beta) / (1.0 - q * q)
     form = np.zeros((dim, dim), dtype=complex)
-    form[:n_sites, :n_sites] = matrix_of("X", family, window)[
-        np.ix_(interior, interior)]
-    # X sends the site at layer N - 1 to layer N with coefficient
-    # (i / t_{N-1}) q^{-1/2}; the top interior site of atom i is the last
-    # of its block of window.length - 1 sites
-    up = 1j / (np.array([sign * atom.position for sign, atom in atoms])
-               * q ** (window.n_max - 1) * math.sqrt(q))
-    top = (np.arange(len(atoms)) + 1) * (window.length - 1) - 1
+    # sites[i, k] is the model index of atom i at grid column k + 1; X moves
+    # each site one layer up (x_up) and one down (x_down) within its atom
+    sites = np.arange(n_sites).reshape(len(grid.keys), len(layers))
+    form[sites[:, 1:], sites[:, :-1]] = grid.x_up[:, 1:-2]
+    form[sites[:, :-1], sites[:, 1:]] = grid.x_down[:, 2:-1]
+    # X sends the top interior site, at layer N - 1, to layer N with
+    # coefficient (i / t_{N-1}) q^{-1/2}
+    top = sites[:, -1]
+    up = 1j / (grid.position[:, -2] * math.sqrt(q))
     form[n_sites:, top] = (up[:, None] * alpha.conj()).T
     form[top, n_sites:] = -up[:, None] * alpha
     form[n_sites:, n_sites:] = -alpha.conj().T @ ((up / q)[:, None] * beta)
@@ -424,29 +454,6 @@ def assemble(triple: ExtensionTriple) -> AssembledOperator:
 def spectrum(triple: ExtensionTriple) -> np.ndarray:
     """Eigenvalues of the assembled finite model, ascending."""
     return assemble(triple).spectrum()
-
-
-@dataclass
-class VerificationCheck:
-    """One named check: passes when value stays on the required side of the
-    bound ("max": value <= bound, "min": value >= bound)."""
-
-    name: str
-    value: float
-    bound: float
-    kind: str = "max"
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.value <= self.bound if self.kind == "max" else self.value >= self.bound
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "value": self.value, "bound": self.bound,
-               "kind": self.kind, "passed": self.passed}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 @dataclass

@@ -20,7 +20,8 @@ such arrays (shape (..., atoms, layers)) with slice writes and a diagonal
 scale, so the verification suites act on all their vectors at once.
 Applying a shift at the window edge truncates the image and sets a lost
 flag on the result; the caller decides what edge loss means for its
-computation.
+computation.  ``check_window`` bounds a window at MAX_SITES sites, and
+``relative_residual`` compares arrays whose entries may grow like q^-n.
 """
 from __future__ import annotations
 
@@ -33,6 +34,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 GENERATOR_NAMES = ("U", "U*", "P", "X")
+
+# sites per window: a dense complex matrix over them takes 64 MiB
+MAX_SITES = 2048
 
 # index triple: (sign, j, n) with sign in {+1, -1}
 LatticeIndex = tuple[int, int, int]
@@ -219,9 +223,14 @@ def lattice_grid(family: AtomFamily, window: Window) -> LatticeGrid:
 
 
 def check_window(family: AtomFamily, window: Window) -> None:
-    """Raise ValueError when q^n leaves the float range on the window: a
-    position, mass or X coefficient at either end is not finite and
-    nonzero (each is monotone in n, so the two end layers decide)."""
+    """Raise ValueError when the window has more than MAX_SITES sites, or
+    when q^n leaves the float range on it: a position, mass or X
+    coefficient at either end is not finite and nonzero (each is monotone
+    in n, so the two end layers decide)."""
+    atoms, layers = len(family.plus) + len(family.minus), window.length + 1
+    if atoms * layers > MAX_SITES:
+        raise ValueError(f"{atoms} atoms on {layers} layers make "
+                         f"{atoms * layers} sites, over MAX_SITES = {MAX_SITES}")
     for ends in (Window(window.n_min, window.n_min + 1),
                  Window(window.n_max - 1, window.n_max)):
         grid = LatticeGrid(family, ends)
@@ -413,6 +422,29 @@ def matrix_of(gen: str, family: AtomFamily, window: Window) -> np.ndarray:
 
 
 @dataclass
+class VerificationCheck:
+    """One named check: passes when value stays on the required side of the
+    bound ("max": value <= bound, "min": value >= bound)."""
+
+    name: str
+    value: float
+    bound: float
+    kind: str = "max"
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound if self.kind == "max" else self.value >= self.bound
+
+    def to_json(self) -> dict:
+        out = {"name": self.name, "value": self.value, "bound": self.bound,
+               "kind": self.kind, "passed": self.passed}
+        if self.detail:
+            out["detail"] = self.detail
+        return out
+
+
+@dataclass
 class RelationCheck:
     name: str
     max_residual: float
@@ -445,13 +477,32 @@ class LatticeRelationReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
-def relative_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """|lhs - rhs| / max(1, |lhs|, |rhs|) per vector of two stacks of
-    coefficient arrays."""
-    axes = (-2, -1)
-    scale = np.maximum(np.linalg.norm(lhs, axis=axes),
-                       np.linalg.norm(rhs, axis=axes))
-    return np.linalg.norm(lhs - rhs, axis=axes) / np.maximum(1.0, scale)
+def relative_residual(lhs: np.ndarray, rhs: np.ndarray, axis=None):
+    """|lhs - rhs| / max(1, |lhs|, |rhs|) in Frobenius norms: of the whole
+    arrays, or per member of two stacks for axis=(-2, -1).
+
+    Where a square overflows, as entries growing like q^-n do on tall
+    windows, both sides are first divided by the power of two nearest
+    their largest real or imaginary part: exact, so the quotient is the
+    same, and reduced as views, so no array the size of a side is added."""
+    try:
+        with np.errstate(over="raise"):
+            size = np.maximum(np.linalg.norm(lhs, axis=axis),
+                              np.linalg.norm(rhs, axis=axis))
+            return np.linalg.norm(lhs - rhs, axis=axis) / np.maximum(1.0, size)
+    except FloatingPointError:
+        pass
+    big = np.maximum.reduce([
+        np.maximum(np.max(part, axis=axis, initial=0.0),
+                   -np.min(part, axis=axis, initial=0.0))
+        for side in (lhs, rhs) for part in (side.real, side.imag)])
+    unit = np.ldexp(1.0, -np.frexp(big)[1])
+    scale = unit if axis is None else unit[..., None, None]
+    size = np.maximum(np.linalg.norm(lhs * scale, axis=axis),
+                      np.linalg.norm(rhs * scale, axis=axis))
+    diff = lhs - rhs
+    diff *= scale
+    return np.linalg.norm(diff, axis=axis) / np.maximum(unit, size)
 
 
 def check_relations_lattice(family: AtomFamily, window: Window,
@@ -495,7 +546,7 @@ def check_relations_lattice(family: AtomFamily, window: Window,
                     lost |= step
                 total = total + c * vecs
             sides.append(total)
-        residuals = relative_residuals(*sides)[~lost]
+        residuals = relative_residual(*sides, axis=(-2, -1))[~lost]
         checks.append(RelationCheck(
             name, float(np.max(residuals, initial=0.0)),
             int(np.count_nonzero(~lost)), tol))

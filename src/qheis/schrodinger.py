@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extensions import VerificationCheck
+from .lattice import VerificationCheck
 
 OPERATORS = ("U", "U*", "P", "Pinv", "X")
 

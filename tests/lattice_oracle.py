@@ -17,8 +17,7 @@ import random
 import numpy as np
 
 from qheis.algebra import GENERATOR_LETTERS, AlgebraElement, random_element, star
-from qheis.classify import (CharacterizationReport, RepresentationReport,
-                            _matrix_residual)
+from qheis.classify import CharacterizationReport, RepresentationReport
 from qheis.extensions import ExtensionReport, VerificationCheck, assemble
 from qheis.lattice import (GENERATOR_NAMES, LatticeRelationReport,
                            RelationCheck, basis_indices)
@@ -157,6 +156,11 @@ def matrix_of(gen, family, window):
         for t2, val in image.entries.items():
             mat[pos[t2], col] = val
     return mat
+
+
+def _matrix_residual(lhs, rhs):
+    return float(np.linalg.norm(lhs - rhs)
+                 / max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
 
 def _relative_residual(lhs, rhs):
@@ -310,14 +314,16 @@ def domain_residual(f, triple):
     bmap = triple.bmap
     r1 = (f.even[+1] + f.odd[+1]) - bmap.v @ (f.even[-1] + f.odd[-1])
     r2 = (f.even[+1] - f.odd[+1]) - bmap.w @ (f.even[-1] - f.odd[-1])
-    gh = np.diag(bmap.plus.gram_H())
-    res = math.sqrt(float(
-        np.sum(np.abs(r1) ** 2 * gh) + np.sum(np.abs(r2) ** 2 * gh)))
+    metric = {sign: np.array([a.weight / a.position
+                              for a in f.family.atoms(sign)])
+              for sign in (+1, -1)}
+    res = math.sqrt(float(np.sum(np.abs(r1) ** 2 * metric[+1])
+                          + np.sum(np.abs(r2) ** 2 * metric[+1])))
     scale = 0.0
-    for view, sign in ((bmap.plus, +1), (bmap.minus, -1)):
-        g = np.diag(view.gram_H())
+    for sign in (+1, -1):
         scale += float(np.sum(
-            (np.abs(f.even[sign]) ** 2 + np.abs(f.odd[sign]) ** 2) * g))
+            (np.abs(f.even[sign]) ** 2 + np.abs(f.odd[sign]) ** 2)
+            * metric[sign]))
     return res, math.sqrt(scale)
 
 

@@ -231,6 +231,17 @@ class TestMultiply:
                         rng=random.Random(rng.getrandbits(32)))
             assert multiply(a, b) == expected, (a, b)
 
+    def test_long_runs_of_one_letter_match_the_letter_fold(self):
+        # multiply takes the run p^r or x^r past the powers it can lower in
+        # closed form; reduce folds it in letter by letter
+        rng = random.Random(47)
+        for _ in range(200):
+            word = random_word(rng, 6)
+            letter, count = rng.choice("px"), rng.randint(0, 12)
+            run = AlgebraElement.generator(letter) ** count
+            assert multiply(reduce(word), run) == reduce(
+                word + (letter,) * count), (word, letter, count)
+
     def test_associativity_random(self):
         rng = random.Random(11)
         for _ in range(60):

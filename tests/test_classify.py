@@ -129,6 +129,16 @@ class TestCommutant:
         assert data["commutant_dim"] == 1
         assert data["irreducible"] is True
 
+    def test_a_triple_is_classified_by_its_boundary_map(self):
+        triple = build_catalog_triple(5)
+        problem = CommutantProblem.from_triple(triple)
+        assert problem is triple.bmap
+        family = triple.family
+        assert problem.plus_positions.tolist() == [
+            a.position for a in family.plus]
+        assert problem.minus_weights.tolist() == [
+            a.weight for a in family.minus]
+
     def test_mismatched_sides_rejected(self):
         with pytest.raises(ValueError, match="equally many atoms"):
             CommutantProblem([0.7], [1.0], [0.6, 0.8], [1.0, 1.0],

@@ -90,6 +90,8 @@ class TestNormalForm:
         ("p^100000", "p^100000"),
         ("(p*u)^3000", "s^8997000*p^3000*u^3000"),
         ("(i*u)^1000001", "i*u^1000001"),
+        ("p^99999999999*3", "3*p^99999999999"),
+        ("u*x^99999999999", "s^-199999999998*x^99999999999*u"),
     ])
     def test_single_term_powers_answer_in_closed_form(self, expression,
                                                       expected):
@@ -324,6 +326,42 @@ class TestSpectrum:
             assert "Traceback" not in result.stderr
             assert json.loads(result.stdout)["status"] == "pass"
 
+
+    @pytest.mark.parametrize("command", ("spectrum", "verify"))
+    def test_tall_windows_report_finite_numbers(self, command, tmp_path):
+        # at q = 0.2 the entries of X reach 0.2^-300 ~ 1e209, whose squares
+        # overflow; the report must still pass and be strict JSON
+        example = run_cli("example", "--kind", "1", "--q", "0.2")
+        config = json.loads(example.stdout)
+        config["window"] = {"n_min": -6, "n_max": 300}
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(config))
+        result = run_cli(command, "--config", str(path), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        assert json.loads(result.stdout,
+                          parse_constant=refuse)["status"] == "pass"
+
+    @pytest.mark.parametrize("command", ("spectrum", "verify"))
+    def test_windows_over_the_site_budget_are_config_errors(self, command,
+                                                            tmp_path):
+        # kind 5 has 8 atoms: 8 x 307 layers = 2456 sites > MAX_SITES
+        example = run_cli("example", "--kind", "5")
+        config = json.loads(example.stdout)
+        config["window"] = {"n_min": -6, "n_max": 300}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(config))
+        start = time.monotonic()
+        result = run_cli(command, "--config", str(path), timeout=30)
+        assert time.monotonic() - start < 1.0
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: /window: ")
+        assert "2456 sites" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("command", ("spectrum", "verify"))
     @pytest.mark.parametrize("n_min,n_max", ((-6, 480), (-480, 6)))

@@ -103,6 +103,23 @@ class TestBoundaryMap:
         bad = BoundaryMap(fam, [[1.0]], [[5.0]], validate=False)
         assert bad.k_isometry_residual() > 1.0
 
+    def test_record_holds_positions_weights_and_metric(self):
+        bmap = random_boundary_map(two_atom_family(), np.random.default_rng(5))
+        assert bmap.dim == 2
+        assert bmap.plus_positions.tolist() == [0.7, 0.9]
+        assert bmap.plus_weights.tolist() == [1.0, 2.0]
+        assert bmap.minus_weights.tolist() == [0.5, 1.5]
+        plus, minus = bmap.metric()
+        assert np.allclose(plus, [1.0 / 0.7, 2.0 / 0.9])
+        assert np.allclose(minus, [0.5 / 0.6, 1.5 / 0.8])
+
+    def test_metric_weighs_tails_by_weight_over_position(self):
+        fam = AtomFamily(0.25, [Atom(0.5, 2.0)], [Atom(0.5, 2.0)])
+        plus, _ = make_boundary_map(fam, phases=(0.0, 0.0)).metric()
+        h, k = np.array([1 + 1j]), np.array([1j])
+        assert np.sum(h * k.conj() * plus) == pytest.approx(
+            (1 + 1j) * (-1j) * 4.0)
+
     def test_unequal_atom_counts_rejected(self):
         fam = AtomFamily(0.5, [Atom(0.7), Atom(0.8)], [Atom(0.6)])
         with pytest.raises(ValueError):

@@ -24,8 +24,9 @@ from qheis.parsing import parse_to_element
 SYMBOLS = ("p", "x", "u", "u^-1", "i", "s", "q", "(", ")", "(", ")",
            "+", "-", "*", "*", "/", "^", "^")
 NUMBERS = ("0", "1", "2", "3", "12", "007", "99999", "7" * 4001)
-# multi-term powers have no size budget, so exponents stay small
-EXPONENTS = ("0", "1", "2", "3", "7")
+# small exponents answer; the large ones reach MAX_POWER_WORK (multi-term
+# powers) or the print bound (single terms), and must still finish in time
+EXPONENTS = ("0", "1", "2", "3", "7", "40", "270", "99999999999")
 MAX_TOKENS = 10
 SECONDS_PER_INPUT = 5.0
 

@@ -30,6 +30,15 @@ def test_normal_form_loads_neither_numpy_nor_scipy():
     assert result.stderr.strip() == "[]"
 
 
+def test_schrodinger_loads_no_lattice_stack():
+    result = run_python(
+        "import sys\n"
+        "import qheis.schrodinger\n"
+        "print(sorted(m for m in ('qheis.adjoint', 'qheis.extensions')\n"
+        "             if m in sys.modules))\n")
+    assert result.stdout.strip() == "[]"
+
+
 def test_every_public_name_resolves_without_scipy():
     result = run_python(
         "import sys\n"

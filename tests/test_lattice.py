@@ -8,6 +8,7 @@ import pytest
 
 from lattice_oracle import inner_raw
 from qheis.lattice import (
+    MAX_SITES,
     Atom,
     AtomFamily,
     LatticeVector,
@@ -15,8 +16,10 @@ from qheis.lattice import (
     apply_generator,
     basis_indices,
     check_relations_lattice,
+    check_window,
     inner,
     matrix_of,
+    relative_residual,
 )
 
 
@@ -73,6 +76,58 @@ class TestFamilyAndWindow:
         assert AtomFamily.from_json(fam.to_json()) == fam
         w = Window(-4, 7)
         assert Window.from_json(w.to_json()) == w
+
+
+class TestWindowBounds:
+    def test_site_budget_counts_atoms_times_layers(self):
+        fam = AtomFamily(0.6, [Atom(0.7)], [Atom(0.7)])
+        check_window(fam, Window(-6, MAX_SITES // 2 - 7))
+        with pytest.raises(ValueError, match="over MAX_SITES = 2048"):
+            check_window(fam, Window(-6, MAX_SITES // 2 - 6))
+
+    def test_wide_families_are_refused_before_any_grid(self):
+        atoms = [Atom(0.7 + 0.01 * k) for k in range(4)]
+        fam = AtomFamily(0.5, atoms, atoms)
+        with pytest.raises(ValueError, match="8 atoms on 307 layers"):
+            check_window(fam, Window(-6, 300))
+
+
+class TestRelativeResidual:
+    @staticmethod
+    def unscaled(lhs, rhs, axis=None):
+        scale = np.maximum(np.linalg.norm(lhs, axis=axis),
+                           np.linalg.norm(rhs, axis=axis))
+        return np.linalg.norm(lhs - rhs, axis=axis) / np.maximum(1.0, scale)
+
+    def test_matches_the_unscaled_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            shape = (9, 3, int(rng.integers(2, 12)))
+            size = 10.0 ** rng.uniform(-4, 4, (9, 1, 1))
+            lhs = size * (rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+            rhs = lhs + 1e-9 * size * rng.standard_normal(shape)
+            for a, b in ((lhs, rhs), (lhs[1::2], rhs[1::2]), (lhs[4], rhs[4])):
+                got = relative_residual(a, b, axis=(-2, -1))
+                assert np.array_equal(got, self.unscaled(a, b, (-2, -1)))
+                assert relative_residual(a, b) == self.unscaled(a, b)
+            square = lhs.reshape(-1, shape[-1])[:shape[-1]]
+            assert (relative_residual(square, square.conj().T)
+                    == self.unscaled(square, square.conj().T))
+
+    def test_entries_past_the_square_root_of_the_float_range(self):
+        rng = np.random.default_rng(17)
+        lhs = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
+        rhs = lhs * (1 + 1e-12)
+        want = relative_residual(lhs, rhs, axis=(-2, -1))
+        assert np.all(want > 0) and np.all(want < 1e-11)
+        # the unscaled formula gives nan here, as the squares overflow; the
+        # residual of sides of norm > 1 does not change under exact scaling
+        got = relative_residual(2.0 ** 700 * lhs, 2.0 ** 700 * rhs,
+                                axis=(-2, -1))
+        assert np.array_equal(got, want)
+        assert relative_residual(2.0 ** 700 * lhs, 2.0 ** 700 * rhs) == (
+            relative_residual(lhs, rhs))
 
 
 class TestVectors:
