@@ -32,14 +32,15 @@ GENERATOR_LETTERS = ("p", "x", "u", "u^-1")
 # 4200 digits) are refused by check_printable on either
 MAX_PRINT_BITS = 14_000
 
-# Work budget of one power (see _charge): (p + x)^19 fits and (1 + s)^270 does
-# not, the test and benchmark inputs stay under a ninth of it, and at up to
-# 8 us a unit here a refused power stops within a second.
+# Work budget of one power or product (see _charge): (p + x)^19 fits and
+# (1 + s)^270 does not, the test and benchmark inputs stay under a ninth of
+# it, and at up to 8 us a unit here a refused one stops within a second.
 MAX_POWER_WORK = 100_000
 
 
 class WorkLimitError(ValueError):
-    """A power would take more than MAX_POWER_WORK units of work."""
+    """A power or product would take more than MAX_POWER_WORK units of
+    work."""
 
 
 def _frac(value) -> Fraction:
@@ -363,13 +364,15 @@ def _word_growth(base: Iterable[ScalarQ], paths: int) -> float:
     return (bits + (paths - 1).bit_length()) / 64
 
 
-def _charge(work: int, products: int, exponent: int, growth: float) -> int:
-    """A power's work after ``products`` more coefficient-term products
-    toward the ``exponent``-th power, each counted once per word its
-    coefficients can reach; raises past MAX_POWER_WORK."""
+def _charge(work: int, products: int, exponent: int = 0,
+            growth: float = 0.0, what: str = "power") -> int:
+    """The work of a power (or ``what``) after ``products`` more
+    coefficient-term products toward the ``exponent``-th power, each
+    counted once per word its coefficients can reach; raises past
+    MAX_POWER_WORK."""
     work += products * (1 + int(exponent * growth))
     if work > MAX_POWER_WORK:
-        raise WorkLimitError(f"power too costly to compute: over the limit "
+        raise WorkLimitError(f"{what} too costly to compute: over the limit "
                              f"of {MAX_POWER_WORK} units of work")
     return work
 
@@ -656,20 +659,27 @@ def _fold(state: dict, letters: Iterable[str]) -> dict:
     return state
 
 
-def _fold_run(state: dict, letter: str, count: int) -> dict:
-    """_fold(state, (letter,) * count) for letter p or x.  A letter lowers
-    the power of keys of the other kind and raises all others, so once
-    those powers are spent the rest of the run raises every power at once:
-    u^n p^r = s^2nr p^r u^n and u^n x^r = s^-2nr x^r u^n."""
+def _fold_run(state: dict, letter: str, count: int,
+              work: int) -> tuple[dict, int]:
+    """(_fold(state, (letter,) * count), work) for letter p or x, each
+    letter step charging its coefficient-term products to a product's
+    ``work``.  A letter lowers the power of keys of the other kind and
+    raises all others, so once those powers are spent the rest of the run
+    raises every power at once: u^n p^r = s^2nr p^r u^n and
+    u^n x^r = s^-2nr x^r u^n."""
     steps = min(count, max((power for kind, power, _ in state
                             if kind != letter), default=0))
-    state = _fold(state, (letter,) * steps)
+    for _ in range(steps):
+        # a letter step folds each coefficient term into at most two keys
+        work = _charge(work, 2 * sum(map(len, state.values())),
+                       what="product")
+        state = _fold(state, (letter,))
     count -= steps
     if not count:
-        return state
+        return state, work
     e = (2 if letter == "p" else -2) * count
     return {(letter, power + count, n): _unit_shift(c, 0, e * n)
-            for (_, power, n), c in state.items()}
+            for (_, power, n), c in state.items()}, work
 
 
 def _element(state: dict) -> AlgebraElement:
@@ -830,11 +840,13 @@ def check_power_printable(element: AlgebraElement, n: int) -> None:
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product in the algebra: each monomial of b is folded, letter by
     letter, into the normal form of a, then scaled by its coefficient
-    (scalars are central)."""
+    (scalars are central).  The letter steps share one MAX_POWER_WORK
+    budget per product."""
     start = {(m.kind, m.power, m.uexp): c._terms for m, c in a._terms.items()}
     acc: dict = {}
+    work = 0
     for mb, cb in b._terms.items():
-        piece = _fold_run(start, mb.kind, mb.power)
+        piece, work = _fold_run(start, mb.kind, mb.power, work)
         for (kind, power, n), coeff in piece.items():
             key = (kind, power, n + mb.uexp)
             for e, g in cb._terms.items():

@@ -18,6 +18,7 @@ arrays a (family, window) pair shares: positions, masses and the two X
 coefficients per site.  ``act`` applies a generator to a whole stack of
 such arrays (shape (..., atoms, layers)) with slice writes and a diagonal
 scale, so the verification suites act on all their vectors at once.
+The relation checks act on ``layer_units``, one member per layer.
 Applying a shift at the window edge truncates the image and sets a lost
 flag on the result; the caller decides what edge loss means for its
 computation.  ``check_window`` bounds a window at MAX_SITES sites, and
@@ -408,17 +409,21 @@ def sparse_sample(grid: LatticeGrid, margin: int, density: float, uniform,
     return out
 
 
-def unit_vectors(grid: LatticeGrid) -> np.ndarray:
-    """Every basis vector, stacked in ``basis_indices`` order."""
-    dim = grid.position.size
-    return np.eye(dim, dtype=complex).reshape((dim,) + grid.shape)
+def layer_units(grid: LatticeGrid) -> np.ndarray:
+    """Read-only stack whose member c is 1 at layer c of every atom: as
+    generators never mix atoms, row r of its image is the image of (r, c)."""
+    atoms, layers = grid.shape
+    return np.broadcast_to(np.eye(layers, dtype=complex)[:, None, :],
+                           (layers, atoms, layers))
 
 
 def matrix_of(gen: str, family: AtomFamily, window: Window) -> np.ndarray:
     """Dense matrix of a generator over basis_indices(family, window)."""
     grid = lattice_grid(family, window)
-    images, _ = act(gen, grid, unit_vectors(grid))
-    return images.reshape(len(images), -1).T
+    dim = grid.position.size
+    images, _ = act(gen, grid, np.eye(dim, dtype=complex).reshape(
+        (dim,) + grid.shape))
+    return images.reshape(dim, -1).T
 
 
 @dataclass
@@ -479,7 +484,7 @@ class LatticeRelationReport:
 
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray, axis=None):
     """|lhs - rhs| / max(1, |lhs|, |rhs|) in Frobenius norms: of the whole
-    arrays, or per member of two stacks for axis=(-2, -1).
+    arrays, or per member of two stacks over ``axis``, such as (-2, -1).
 
     Where a square overflows, as entries growing like q^-n do on tall
     windows, both sides are first divided by the power of two nearest
@@ -497,7 +502,7 @@ def relative_residual(lhs: np.ndarray, rhs: np.ndarray, axis=None):
                    -np.min(part, axis=axis, initial=0.0))
         for side in (lhs, rhs) for part in (side.real, side.imag)])
     unit = np.ldexp(1.0, -np.frexp(big)[1])
-    scale = unit if axis is None else unit[..., None, None]
+    scale = unit if axis is None else np.expand_dims(unit, axis)
     size = np.maximum(np.linalg.norm(lhs * scale, axis=axis),
                       np.linalg.norm(rhs * scale, axis=axis))
     diff = lhs - rhs
@@ -510,17 +515,17 @@ def check_relations_lattice(family: AtomFamily, window: Window,
     """Residuals of the defining relations on every basis vector far enough
     from the window edge that no term suffers edge loss.
 
-    Both sides of a relation act on the stack of all basis vectors at once;
-    a vector counts for a relation when neither side lost support on it.
-    Residuals are relative to the vector scale: lattice entries grow like
-    q^{-n} across a window, so absolute comparisons would drown in float
-    rounding for deep windows.
+    Both sides of a relation act on ``layer_units``, one residual per row
+    of an image, that is per basis vector; a layer counts when neither side
+    lost support on it.  Residuals are relative to the vector scale: lattice
+    entries grow like q^{-n} across a window, so absolute comparisons would
+    drown in float rounding for deep windows.
     """
     if window.length < 4:
         raise ValueError("relation checks need a window of length >= 4")
     q, sq = family.q, family.sqrt_q
     grid = lattice_grid(family, window)
-    basis = unit_vectors(grid)
+    units = layer_units(grid)
     # name, left-hand word, right-hand sum of c * word (words act right
     # to left)
     relations = [
@@ -535,19 +540,18 @@ def check_relations_lattice(family: AtomFamily, window: Window,
     ]
     checks = []
     for name, lhs, rhs in relations:
-        lost = np.zeros(len(basis), dtype=bool)
+        lost = np.zeros(len(units), dtype=bool)
         sides = []
         for terms in ([(1.0, lhs)], rhs):
             total = 0
             for c, word in terms:
-                vecs = basis
+                vecs = units
                 for gen in reversed(word):
                     vecs, step = act(gen, grid, vecs)
                     lost |= step
                 total = total + c * vecs
             sides.append(total)
-        residuals = relative_residual(*sides, axis=(-2, -1))[~lost]
+        residuals = relative_residual(*sides, axis=-1)[~lost]
         checks.append(RelationCheck(
-            name, float(np.max(residuals, initial=0.0)),
-            int(np.count_nonzero(~lost)), tol))
+            name, float(np.max(residuals, initial=0.0)), residuals.size, tol))
     return LatticeRelationReport(checks)

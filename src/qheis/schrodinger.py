@@ -35,6 +35,10 @@ OPERATORS = ("U", "U*", "P", "Pinv", "X")
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2)
 
+# verify_schrodinger's packets: 2 or more, since its pair checks take two;
+# 2,000 took 2.3 s on a 2-CPU host
+MAX_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class SchrodingerParams:
@@ -134,21 +138,28 @@ def act(name: str, f: GaussianElement,
     U multiplies by e^{it} (gamma -> gamma + i); P translates the argument
     by -i*alpha, which on a packet reads gamma -> gamma + 2i*alpha with the
     coefficient picking up e^{alpha^2 - i*alpha*gamma}; X is the difference
-    combination X = i q^{-1/2} U^{-1} P^{-1} - i q^{1/2} U P^{-1}.
+    combination X = i q^{-1/2} U^{-1} P^{-1} - i q^{1/2} U P^{-1}.  Raises
+    ValueError where the factor of P or P^{-1} leaves the float range, as
+    it does for q below about 1e-11 on the packets of the checks.
     """
     a = params.alpha
     if name == "U":
         return GaussianElement({g + 1j: c for g, c in f._terms.items()})
     if name == "U*":
         return GaussianElement({g - 1j: c for g, c in f._terms.items()})
-    if name == "P":
-        return GaussianElement(
-            {g + 2j * a: c * cmath.exp(a * a - 1j * a * g)
-             for g, c in f._terms.items()})
-    if name == "Pinv":
-        return GaussianElement(
-            {g - 2j * a: c * cmath.exp(a * a + 1j * a * g)
-             for g, c in f._terms.items()})
+    try:
+        if name == "P":
+            return GaussianElement(
+                {g + 2j * a: c * cmath.exp(a * a - 1j * a * g)
+                 for g, c in f._terms.items()})
+        if name == "Pinv":
+            return GaussianElement(
+                {g - 2j * a: c * cmath.exp(a * a + 1j * a * g)
+                 for g, c in f._terms.items()})
+    except OverflowError:
+        raise ValueError(f"q = {params.q:.6g} is too small: the factor "
+                         f"{name} puts on a packet leaves the float range"
+                         ) from None
     if name == "X":
         pinv = act("Pinv", f, params)
         up = act("U*", pinv, params).scale(1j / params.s)
@@ -299,7 +310,10 @@ def verify_schrodinger(params: SchrodingerParams, n_samples: int = 20,
     """Check the line model: the defining relations hold pointwise on random
     wavepackets, the operators have the right symmetry, the deformation
     function vanishes where it must, and the closed-form inner product
-    matches quadrature."""
+    matches quadrature.  Takes 2 to MAX_SAMPLES packets."""
+    if not 2 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [2, {MAX_SAMPLES}], "
+                         f"got {n_samples}")
     rng = random.Random(seed)
     packets = [random_packet(rng) for _ in range(n_samples)]
 

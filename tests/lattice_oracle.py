@@ -6,8 +6,10 @@ its vectors became arrays.  ``TailVector`` adds per-sign tail amplitude
 arrays on top of it, and ``verify_extension``, ``verify_representation``
 and ``characterization_report`` are the three verification suites written
 vector by vector over these classes, drawing their random data in the
-same order as the package.  ``tests/test_lattice_oracle.py`` compares the
-package against all of it on seeded inputs.
+same order as the package.  ``check_relations_unit_vectors`` is the array
+relation check on the stack of all basis vectors, which the package's
+per-layer check must match exactly.  ``tests/test_lattice_oracle.py``
+compares the package against all of it on seeded inputs.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from qheis.algebra import GENERATOR_LETTERS, AlgebraElement, random_element, sta
 from qheis.classify import CharacterizationReport, RepresentationReport
 from qheis.extensions import ExtensionReport, VerificationCheck, assemble
 from qheis.lattice import (GENERATOR_NAMES, LatticeRelationReport,
-                           RelationCheck, basis_indices)
+                           RelationCheck, act, basis_indices, lattice_grid,
+                           relative_residual)
 
 
 class LatticeVector:
@@ -200,6 +203,44 @@ def check_relations_lattice(family, window, tol=1e-12):
             worst = max(worst, _relative_residual(lhs, rhs))
             count += 1
         checks.append(RelationCheck(name, worst, count, tol))
+    return LatticeRelationReport(checks)
+
+
+def check_relations_unit_vectors(family, window, tol=1e-12):
+    """The array relation check as it was before it read layer units: both
+    sides of a relation act on the stack of all basis vectors, with one
+    residual per vector."""
+    q, sq = family.q, family.sqrt_q
+    grid = lattice_grid(family, window)
+    dim = grid.position.size
+    basis = np.eye(dim, dtype=complex).reshape((dim,) + grid.shape)
+    relations = [
+        ("u p = q p u", "UP", [(q, "PU")]),
+        ("u x = q^-1 x u", "UX", [(1.0 / q, "XU")]),
+        ("u u^-1 = 1", ("U", "U*"), [(1.0, "")]),
+        ("u^-1 u = 1", ("U*", "U"), [(1.0, "")]),
+        ("p x = i q^1/2 u^-1 - i q^-1/2 u", "PX",
+         [(1j * sq, ("U*",)), (-1j / sq, "U")]),
+        ("x p = i q^-1/2 u^-1 - i q^1/2 u", "XP",
+         [(1j / sq, ("U*",)), (-1j * sq, "U")]),
+    ]
+    checks = []
+    for name, lhs, rhs in relations:
+        lost = np.zeros(len(basis), dtype=bool)
+        sides = []
+        for terms in ([(1.0, lhs)], rhs):
+            total = 0
+            for c, word in terms:
+                vecs = basis
+                for gen in reversed(word):
+                    vecs, step = act(gen, grid, vecs)
+                    lost |= step
+                total = total + c * vecs
+            sides.append(total)
+        residuals = relative_residual(*sides, axis=(-2, -1))[~lost]
+        checks.append(RelationCheck(
+            name, float(np.max(residuals, initial=0.0)),
+            int(np.count_nonzero(~lost)), tol))
     return LatticeRelationReport(checks)
 
 

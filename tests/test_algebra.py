@@ -446,6 +446,15 @@ class TestPowerWorkLimit:
         with pytest.raises(ValueError, match="too costly"):
             scalar ** 1000
 
+    def test_costly_products_raise_a_value_error(self):
+        from qheis.algebra import WorkLimitError
+        x, p = AlgebraElement.generator("x"), AlgebraElement.generator("p")
+        with pytest.raises(WorkLimitError, match="product too costly"):
+            multiply(x ** 270, p ** 270)
+        # each product has its own budget
+        for _ in range(3):
+            assert multiply(x ** 20, p ** 20) == reduce(["x"] * 20 + ["p"] * 20)
+
     def test_powers_under_the_limit_match_repeated_products(self):
         sum_element = AlgebraElement.generator("p") + AlgebraElement.generator("x")
         out = AlgebraElement.one()

@@ -131,16 +131,26 @@ class TestNormalForm:
         assert "Traceback" not in result.stderr
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("expression", ["(p+x)^40", "(1+s)^1000"])
-    def test_costly_multi_term_powers_hit_the_work_limit(self, expression):
+    @staticmethod
+    def assert_work_limit(expression, what):
         start = time.monotonic()
         result = run_cli("normal-form", expression, timeout=30)
         elapsed = time.monotonic() - start
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr.startswith("error: power too costly to compute")
+        assert result.stderr.startswith(f"error: {what} too costly to "
+                                        "compute")
         assert "Traceback" not in result.stderr
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize("expression", ["(p+x)^40", "(1+s)^1000"])
+    def test_costly_multi_term_powers_hit_the_work_limit(self, expression):
+        self.assert_work_limit(expression, "power")
+
+    @pytest.mark.parametrize("expression", [
+        "x^120*p^120", "x^270*p^270", "(p+x)^19*(p+x)^19"])
+    def test_costly_products_hit_the_work_limit(self, expression):
+        self.assert_work_limit(expression, "product")
 
     @pytest.mark.parametrize("expression,message", [
         ("1/0", "syntax error at offset 2: expected a nonzero denominator"),
@@ -455,6 +465,23 @@ class TestSchrodinger:
         assert result.returncode == 1
         report = json.loads(result.stdout)
         assert report["status"] == "fail"
+
+    @pytest.mark.parametrize("q", ["1e-12", "3e-12", "1e-20", "1e-300"])
+    def test_q_too_small_for_floats_exits_with_usage_code(self, q):
+        result = run_cli("schrodinger", "--q", q, "--samples", "4")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: q = {q} is too small")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("samples", ["0", "-3", "1", "1001"])
+    def test_sample_counts_outside_the_range_exit_with_usage_code(
+            self, samples):
+        result = run_cli("schrodinger", "--q", "0.5", "--samples", samples)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: samples must lie in [2, 1000], "
+                                 f"got {samples}\n")
 
 
 class TestVersionFlag:

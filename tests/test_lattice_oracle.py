@@ -4,10 +4,12 @@
 over entries, as the package did before its vectors became arrays.  Here
 both run on seeded families, windows and vectors: generator images and
 their lost flags, inner products, generator matrices, tail vectors, the
-relation checks, the random draws of the suites, and every check of the
-three verification suites on catalog kinds 1-5.
+relation checks (also against the unit-vector array check they replaced),
+the random draws of the suites, and every check of the three verification
+suites on catalog kinds 1-5.
 """
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from qheis.adjoint import TailVector, apply_X_star
 from qheis.classify import (build_catalog_triple, characterization_report,
                             representation_samples, verify_representation)
 from qheis.extensions import random_domain_vectors, verify_extension
-from qheis.lattice import (Atom, AtomFamily, LatticeVector, Window,
-                           apply_generator, check_relations_lattice, inner,
-                           lattice_grid, matrix_of)
+from qheis.lattice import (MAX_SITES, Atom, AtomFamily, LatticeVector,
+                           Window, apply_generator, check_relations_lattice,
+                           inner, lattice_grid, matrix_of)
 
 GENERATORS = ("U", "U*", "P", "X")
 SEEDS = range(10)
@@ -147,6 +149,45 @@ def test_relation_checks(seed):
         assert (a.name, a.vectors_checked, a.tol) == (
             b.name, b.vectors_checked, b.tol)
         assert abs(a.max_residual - b.max_residual) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [None, 0.3, 0.55])
+def test_layer_relation_checks_equal_the_unit_vector_checks(kind, q):
+    family = build_catalog_triple(kind, {} if q is None else {"q": q}).family
+    window = Window(-8, 9)
+    assert (check_relations_lattice(family, window).to_json()
+            == oracle.check_relations_unit_vectors(family, window).to_json())
+
+
+def test_layer_relation_checks_equal_the_unit_vector_checks_on_tall_windows():
+    # 1,002 sites; entries reach 5^300, whose squares overflow, so the
+    # residuals take the scaled path of relative_residual
+    triple = build_catalog_triple(1, {"q": 0.2, "window": Window(-200, 300)})
+    family, window = triple.family, triple.window
+    assert lattice_grid(family, window).position.size >= 1000
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.max(np.abs(lattice_grid(family, window).x_up)) ** 2)
+    got = check_relations_lattice(family, window)
+    assert got.to_json() == oracle.check_relations_unit_vectors(
+        family, window).to_json()
+    assert np.isfinite(got.max_residual)
+
+
+def test_characterization_of_the_largest_window_stays_small():
+    """MAX_SITES sites and no array over sites x sites: dense generator
+    matrices took a traced peak of 447 MB on this window."""
+    window = Window(-6, 1017)
+    triple = build_catalog_triple(1, {"q": 0.6, "window": window})
+    assert lattice_grid(triple.family, window).position.size == MAX_SITES
+    tracemalloc.start()
+    try:
+        report = characterization_report(triple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 256 * 2**20
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])
