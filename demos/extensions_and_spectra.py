@@ -30,13 +30,14 @@ triple = ExtensionTriple(family, Window(-6, 8), bmap)
 print("triple:", triple)
 
 # Vectors in the domain pair to zero; the full check battery covers
-# isometry, covariance, tail norms, and Hermiticity of the model.
+# isometry, covariance, tail norms, and Hermiticity of the model, and it
+# checks the pairing on every pair of a basis of the conforming tails.
 rng = np.random.default_rng(0)
 f = random_domain_vector(triple, rng)
 g = random_domain_vector(triple, rng)
 print("pairing on two domain vectors:", abs(boundary_form(f, g)))
 
-report = verify_extension(triple, n_pairs=50, seed=1)
+report = verify_extension(triple)
 for check in report.checks:
     flag = "ok " if check.passed else "BAD"
     print(f"  [{flag}] {check.name}: {check.value:.2e}")

@@ -28,8 +28,10 @@ A TailVector holds its finite part as a ``LatticeVector`` coefficient array
 and its amplitudes as two flat arrays over the atoms in ``basis_indices``
 order.  The arrays may carry leading stack axes: such a TailVector is a
 stack of vectors, and the inner product, the adjoint, the shifts and the
-boundary form act on every member at once (two stacks pair entrywise).
-The verification suites draw their vectors into one stack each.
+boundary form act on every member at once (two stacks pair entrywise,
+with numpy broadcasting, so ``f[:, None]`` against ``g[None]`` gives every
+pair).  ``verify_extension`` checks the boundary form this way on a
+spanning set of the conforming tails.
 """
 from __future__ import annotations
 

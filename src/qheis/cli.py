@@ -3,7 +3,8 @@ verification, spectrum, classification, and equivalence tasks from JSON
 configs, emit worked-example configs, and check the line model.
 
 Reports are deterministic: the same config produces byte-identical JSON
-(randomized suites take their seed from the config or --seed).  Every
+(the random elements of the representation check and the wavepackets of
+the line model come from the config's seed or --seed).  Every
 report carries the tool version and a hash of the effective config.  Exit
 codes: 0 all checks passed, 1 a check failed, 2 usage or config errors.
 """
@@ -181,7 +182,7 @@ def cmd_verify(args) -> int:
     seed = config_seed(config, args.seed)
 
     characterization = characterization_report(triple, tol=tol)
-    extension = verify_extension(triple, n_pairs=100, seed=seed, tol=tol)
+    extension = verify_extension(triple, tol=tol)
     representation = verify_representation(triple.family, seed=seed,
                                            tol=max(tol, 1e-10))
     passed = (characterization.passed and extension.passed

@@ -41,7 +41,7 @@ import numpy as np
 
 from .adjoint import TailVector, apply_U, apply_X_star, boundary_form
 from .lattice import (AtomFamily, VerificationCheck, Window, lattice_grid,
-                      relative_residual, sparse_sample)
+                      relative_residual)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -321,49 +321,48 @@ def project_to_domain(f: TailVector, triple: ExtensionTriple) -> TailVector:
         np.concatenate([(h - k) / 2.0, zeta_m], axis=-1), f.finite.lost)
 
 
-def random_domain_vectors(triple: ExtensionTriple, rng, count: int,
-                          margin: int = 2, density: float = 0.3) -> TailVector:
-    """A stack of ``count`` vectors drawn as ``count`` calls of
-    ``random_domain_vector`` on the same rng would draw them."""
+def random_domain_vector(triple: ExtensionTriple, rng,
+                         margin: int = 2, density: float = 0.3) -> TailVector:
+    """Random unit vector in the restriction's domain: a complex normal
+    value at each site ``margin`` layers clear of the window edges where
+    rng.random() < density (sites in ``basis_indices`` order), random even
+    and odd minus tails, and the plus tails that make it conform."""
     grid = lattice_grid(triple.family, triple.window)
     rows, dim = grid.shape[0], len(triple.family.minus)
-    coeffs = np.zeros((count,) + grid.shape, dtype=complex)
-    even, odd = (np.zeros((count, rows), dtype=complex) for _ in range(2))
     normal = rng.standard_normal
-    for k in range(count):
-        coeffs[k] = sparse_sample(grid, margin, density, rng.random,
-                                  lambda: complex(normal(), normal()))
-        even[k, rows - dim:] = normal(dim) + 1j * normal(dim)
-        odd[k, rows - dim:] = normal(dim) + 1j * normal(dim)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    for row in coeffs:
+        for c in range(margin, len(row) - margin):
+            if rng.random() < density:
+                row[c] = complex(normal(), normal())
+    even, odd = np.zeros(rows, dtype=complex), np.zeros(rows, dtype=complex)
+    even[rows - dim:] = normal(dim) + 1j * normal(dim)
+    odd[rows - dim:] = normal(dim) + 1j * normal(dim)
     f = project_to_domain(TailVector.from_arrays(
         triple.family, triple.window, coeffs, even, odd), triple)
     return f.scale(1.0 / f.norm())
 
 
-def random_domain_vector(triple: ExtensionTriple, rng,
-                         margin: int = 2, density: float = 0.3) -> TailVector:
-    """Random unit vector in the restriction's domain: random minus tails,
-    conforming plus tails, and a sparse finite part clear of the window
-    edges."""
-    return random_domain_vectors(triple, rng, 1, margin, density)[0]
+def conforming_tails(triple: ExtensionTriple) -> TailVector:
+    """Stack of 2 * dim tails that spans the conforming ones: the unit minus
+    tail of each parity and minus atom (the even ones first), made
+    conforming by ``project_to_domain``, with no finite part."""
+    grid, d = lattice_grid(triple.family, triple.window), triple.bmap.dim
+    even, odd = (np.zeros((2 * d, 2 * d), dtype=complex) for _ in range(2))
+    even[:d, d:] = odd[d:, d:] = np.eye(d)
+    return project_to_domain(TailVector.from_arrays(
+        triple.family, triple.window,
+        np.zeros((2 * d,) + grid.shape, dtype=complex), even, odd), triple)
 
 
 def remainder_amplitudes(triple: ExtensionTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Point values (A, B) of the conforming tail remainders: the unit
-    minus tail of each parity and minus atom, made conforming as in
-    ``project_to_domain`` and cut off below layer n_max.  Remainder c has
-    point value A[:, c] on layers n_max, n_max + 2, ... and B[:, c] on
-    n_max + 1, n_max + 3, ...; rows run over the plus atoms, then the minus
-    atoms, and columns over the even remainders, then the odd ones.
+    """Point values (A, B) of the conforming tail remainders: the
+    ``conforming_tails`` cut off below layer n_max.  Remainder c has point
+    value A[:, c] on layers n_max, n_max + 2, ... and B[:, c] on n_max + 1,
+    n_max + 3, ...; rows run over the plus atoms, then the minus atoms.
     """
-    bmap = triple.bmap
-    dim = bmap.dim
-    eye = np.eye(dim)
-    zero = np.zeros((dim, dim))
-    total, diff = (bmap.v + bmap.w) / 2.0, (bmap.v - bmap.w) / 2.0
-    even = np.block([[total, diff], [eye, zero]])
-    odd = np.block([[diff, total], [zero, eye]])
-    return (even, odd) if triple.window.n_max % 2 == 0 else (odd, even)
+    _, even, odd = conforming_tails(triple).arrays()
+    return (even.T, odd.T) if triple.window.n_max % 2 == 0 else (odd.T, even.T)
 
 
 @dataclass
@@ -459,49 +458,88 @@ def spectrum(triple: ExtensionTriple) -> np.ndarray:
 @dataclass
 class ExtensionReport:
     checks: list[VerificationCheck] = field(default_factory=list)
-    n_pairs: int = 0
-    seed: int | None = None
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {"passed": self.passed, "n_pairs": self.n_pairs,
-                "seed": self.seed,
+        return {"passed": self.passed,
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def _sampled_checks(triple: ExtensionTriple, rng, n_pairs: int,
-                    tol: float) -> list[VerificationCheck]:
-    """The checks of ``verify_extension`` on random domain vectors: pairing,
-    direct adjoint evaluation and shift covariance.  Every vector is drawn
-    first, in the order of the checks that use them: the pairs as f then g,
-    then the shift vectors."""
-    vectors = random_domain_vectors(triple, rng,
-                                    2 * n_pairs + min(n_pairs, 20))
-    f, g = vectors[0:2 * n_pairs:2], vectors[1:2 * n_pairs:2]
-    forms = boundary_form(f, g)
+def _tail_checks(triple: ExtensionTriple,
+                 tol: float) -> list[VerificationCheck]:
+    """The checks of ``verify_extension`` on tail vectors, each on a set
+    that spans what it checks, so that it is exact and exhaustive.
+
+    The pairing and ``domain_residual`` read only tail amplitudes, and
+    ``apply_U`` maps tails to tails whatever the finite part, so
+    ``conforming_tails`` decides them.  The pairing formula holds on the
+    whole adjoint domain, and both its sides vanish on conforming pairs,
+    so the direct evaluation <X* f, g> - <f, X* g> runs on every unit tail
+    and on the finite units at layers -1 and 0, where X* puts a tail's
+    contributions.  Other finite units add nothing: below those layers
+    both terms vanish, at n >= 1 <X e_n, g> cancels (q^-1/2 root_mass(n+1)
+    = q^1/2 root_mass(n-1)), and between finite parts it is the symmetry
+    of X that ``characterization_report`` checks.  Stacks pair by
+    broadcasting, with no array over pairs and sites."""
+    family, window = triple.family, triple.window
+    q, grid = family.q, lattice_grid(family, window)
+    tails, k = conforming_tails(triple), 2 * triple.bmap.dim
+    tails = tails.scale(1.0 / tails.norm())
     checks = [VerificationCheck(
         "boundary pairing vanishes on conforming pairs",
-        float(np.max(np.abs(forms), initial=0.0)), tol,
-        detail=f"{n_pairs} random unit pairs")]
+        float(np.max(np.abs(boundary_form(tails[:, None], tails[None])),
+                     initial=0.0)), tol,
+        detail=f"all {k * k} pairs of {k} unit conforming tails")]
 
-    # the direct evaluation sums adjoint images whose entries grow like
-    # q^{-n} toward the window top, so compare relative to them
-    f, g = f[:10], g[:10]
-    xf, xg = apply_X_star(f), apply_X_star(g)
-    scale = np.maximum(1.0, xf.norm() * g.norm() + f.norm() * xg.norm())
+    # the unit tails of every atom, even then odd, then the finite units
+    rows = grid.shape[0]
+    cols = [grid.column(n) for n in (-1, 0) if window.is_interior(n)]
+    count = (2 + len(cols)) * rows
+    coeffs = np.zeros((count,) + grid.shape, dtype=complex)
+    even, odd = (np.zeros((count, rows), dtype=complex) for _ in range(2))
+    even[:rows] = odd[rows:2 * rows] = np.eye(rows)
+    member = np.arange(2 * rows, count)
+    coeffs[member, member % rows, np.repeat(cols, rows)] = 1.0
+    units = TailVector.from_arrays(family, window, coeffs, even, odd)
+    masses = units[:2 * rows].inner(units[:2 * rows])
+    units = units.scale(1.0 / units.norm())
+    images = apply_X_star(units)
+    f, g, xf, xg = units[:, None], units[None], images[:, None], images[None]
+    # the adjoint images carry factors 1 / t, so compare relative to them
+    size, image_size = units.norm(), images.norm()
+    scale = np.maximum(1.0, image_size[:, None] * size
+                       + size[:, None] * image_size)
+    forms = boundary_form(f, g)
     direct = xf.inner(g) - f.inner(xg)
     checks.append(VerificationCheck(
         "pairing formula matches direct adjoint evaluation",
-        float(np.max(np.abs(direct - forms[:10]) / scale, initial=0.0)),
-        tol, detail="first 10 pairs, relative to the adjoint image size"))
+        float(np.max(np.abs(direct - forms) / scale, initial=0.0)), tol,
+        detail=f"all {count * count} pairs of {2 * rows} unit tails and "
+               f"{count - 2 * rows} finite units at layers -1 and 0, "
+               f"relative to the adjoint image size"))
+    if rows:
+        checks.append(VerificationCheck(
+            "non-conforming pair shows a nonzero pairing",
+            float(abs(forms[0, rows])), 1e-3, kind="min",
+            detail="plus-side even vs odd unit tails"))
 
-    res, scale = domain_residual(apply_U(vectors[2 * n_pairs:]), triple)
+    res, size = domain_residual(apply_U(tails), triple)
     checks.append(VerificationCheck(
         "shift keeps conforming vectors conforming",
-        float(np.max(res / np.maximum(1.0, scale), initial=0.0)), tol))
+        float(np.max(res / np.maximum(1.0, size), initial=0.0)), tol,
+        detail=f"{k} unit conforming tails"))
+
+    # each unit tail's mass against its partial geometric sum
+    terms = int(math.ceil(math.log(1e-18 * (1 - q * q)) / (2 * math.log(q)))) + 1
+    sums = np.array([sum(w * q ** (2 * m + parity) for m in range(terms))
+                     for parity in (0, 1) for w in grid.weights])
+    checks.append(VerificationCheck(
+        "tail norms match their geometric sums",
+        float(np.max(np.abs(masses - sums) / sums, initial=0.0)),
+        max(tol, 1e-13), detail=f"partial sums to {terms} terms"))
     return checks
 
 
@@ -510,57 +548,21 @@ def verify_extension(triple: ExtensionTriple, n_pairs: int = 100,
                      tol: float = 1e-12) -> ExtensionReport:
     """Check everything that makes the restriction self-adjoint in practice.
 
-    Draws random conforming pairs and measures the boundary pairing on
-    them, cross-checks the closed pairing formula against the direct
-    adjoint evaluation, exhibits a non-conforming pair with a visibly
-    nonzero pairing, verifies shift covariance of the domain, the tail
-    norm identities, and Hermiticity of the assembled model.
+    Measures the boundary pairing on all pairs of a basis of the conforming
+    tails, cross-checks the closed pairing formula against the direct
+    adjoint evaluation on all pairs of unit tails and the finite units X*
+    couples them to, exhibits a non-conforming pair with a visibly nonzero
+    pairing, verifies shift covariance of the domain on the conforming
+    basis, the tail norm identities, and Hermiticity of the assembled
+    model.  Nothing is drawn at random: ``n_pairs`` and ``seed`` are
+    accepted for old callers and not read.
     """
-    rng = np.random.default_rng(seed)
-    report = ExtensionReport(n_pairs=n_pairs, seed=seed)
-    family = triple.family
-    q = family.q
-
-    report.checks.append(VerificationCheck(
-        "boundary matrices are weight isometries",
-        triple.bmap.k_isometry_residual(), max(tol, 1e-10)))
-    report.checks.append(VerificationCheck(
-        "derived maps are boundary-metric unitaries",
-        triple.bmap.h_unitarity_residual(), max(tol, 1e-10)))
-
-    pairs_checked, direct_checked, shift_checked = _sampled_checks(
-        triple, rng, n_pairs, tol)
-    report.checks += [pairs_checked, direct_checked]
-
-    if triple.bmap.dim > 0:
-        unit = np.zeros(triple.bmap.dim, dtype=complex)
-        unit[0] = 1.0
-        f_bad = TailVector.pure_tail(family, triple.window, even={+1: unit})
-        g_bad = TailVector.pure_tail(family, triple.window, odd={+1: unit})
-        ratio = float(abs(boundary_form(f_bad, g_bad))
-                      / (f_bad.norm() * g_bad.norm()))
-        report.checks.append(VerificationCheck(
-            "non-conforming pair shows a nonzero pairing", ratio, 1e-3,
-            kind="min", detail="plus-side even vs odd unit tails"))
-
-    report.checks.append(shift_checked)
-
-    # one unit tail per atom and parity, against its partial geometric sum
-    grid = lattice_grid(family, triple.window)
-    rows = grid.shape[0]
-    terms = int(math.ceil(math.log(1e-18 * (1 - q * q)) / (2 * math.log(q)))) + 1
-    units, none = np.eye(rows, dtype=complex), np.zeros((rows, rows))
-    worst_norm = 0.0
-    for parity, tails in ((0, (units, none)), (1, (none, units))):
-        unit = TailVector.from_arrays(family, triple.window, np.zeros(
-            (rows,) + grid.shape, dtype=complex), *tails)
-        sums = np.array([sum(w * q ** (2 * m + parity) for m in range(terms))
-                         for w in grid.weights])
-        worst_norm = max(worst_norm, float(np.max(
-            np.abs(unit.inner(unit) - sums) / sums, initial=0.0)))
-    report.checks.append(VerificationCheck(
-        "tail norms match their geometric sums", worst_norm, max(tol, 1e-13),
-        detail=f"partial sums to {terms} terms"))
+    report = ExtensionReport([
+        VerificationCheck("boundary matrices are weight isometries",
+                          triple.bmap.k_isometry_residual(), max(tol, 1e-10)),
+        VerificationCheck("derived maps are boundary-metric unitaries",
+                          triple.bmap.h_unitarity_residual(), max(tol, 1e-10)),
+        *_tail_checks(triple, tol)])
 
     model = assemble(triple)
     report.checks.append(VerificationCheck(

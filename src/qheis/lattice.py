@@ -397,18 +397,6 @@ def apply_generator(gen: str, v: LatticeVector) -> LatticeVector:
     return LatticeVector.from_array(v.family, v.window, coeffs, v.lost | lost)
 
 
-def sparse_sample(grid: LatticeGrid, margin: int, density: float, uniform,
-                  value) -> np.ndarray:
-    """An (atoms, layers) array: site by site in ``basis_indices`` order,
-    ``margin`` layers clear of the edges, value() where uniform() < density."""
-    out = np.zeros(grid.shape, dtype=complex)
-    for row in out:
-        for c in range(margin, len(row) - margin):
-            if uniform() < density:
-                row[c] = value()
-    return out
-
-
 def layer_units(grid: LatticeGrid) -> np.ndarray:
     """Read-only stack whose member c is 1 at layer c of every atom: as
     generators never mix atoms, row r of its image is the image of (r, c)."""

@@ -270,8 +270,19 @@ def _invert(element: AlgebraElement) -> AlgebraElement:
                            coeff.inverse()})
 
 
-def evaluate(node: Node) -> AlgebraElement:
-    """Evaluate a parse tree to a normal-form element."""
+def evaluate(node: Node, memo: dict | None = None) -> AlgebraElement:
+    """Evaluate a parse tree to a normal-form element.  Equal subtrees are
+    evaluated once: nodes are frozen, so ``memo`` maps each evaluated node
+    to its element for the rest of the call."""
+    if memo is None:
+        memo = {}
+    value = memo.get(node)
+    if value is None:
+        value = memo[node] = _evaluate(node, memo)
+    return value
+
+
+def _evaluate(node: Node, memo: dict) -> AlgebraElement:
     if isinstance(node, Num):
         return AlgebraElement.one().scale(
             ScalarQ.rational(node.value.numerator, node.value.denominator))
@@ -286,7 +297,7 @@ def evaluate(node: Node) -> AlgebraElement:
             return AlgebraElement.one().scale(ScalarQ.s_power(2))
         raise ValueError(f"unknown symbol {node.name!r}")
     if isinstance(node, Pow):
-        base = evaluate(node.base)
+        base = evaluate(node.base, memo)
         if node.exponent < 0:
             base = _invert(base)
         check_power_printable(base, abs(node.exponent))
@@ -294,12 +305,12 @@ def evaluate(node: Node) -> AlgebraElement:
     if isinstance(node, Mul):
         out = AlgebraElement.one()
         for factor in node.factors:
-            out = out * evaluate(factor)
+            out = out * evaluate(factor, memo)
         return out
     if isinstance(node, Sum):
         out = AlgebraElement.zero()
         for sign, term in node.terms:
-            value = evaluate(term)
+            value = evaluate(term, memo)
             out = out + value if sign > 0 else out - value
         return out
     raise TypeError(f"not a parse tree node: {node!r}")

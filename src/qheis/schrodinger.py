@@ -180,12 +180,17 @@ def apply_word(word, f: GaussianElement,
 
 
 def inner_gaussian(f: GaussianElement, g: GaussianElement) -> complex:
-    """Closed-form line inner product, linear in the first argument."""
+    """Closed-form line inner product, linear in the first argument.
+    Raises ValueError when the sum is not finite, so that no check can
+    pass on an overflowed value."""
     total = 0j
     for gf, cf in f._terms.items():
         for gg, cg in g._terms.items():
             b = gf + gg.conjugate()
             total += cf * cg.conjugate() * _SQRT_HALF_PI * cmath.exp(b * b / 8)
+    if not cmath.isfinite(total):
+        raise ValueError(f"a wavepacket inner product is {total}: the "
+                         f"packets leave the float range (q below ~1e-8)")
     return total
 
 

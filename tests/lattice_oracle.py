@@ -5,8 +5,11 @@ and every operation loops over those entries, as the package did before
 its vectors became arrays.  ``TailVector`` adds per-sign tail amplitude
 arrays on top of it, and ``verify_extension``, ``verify_representation``
 and ``characterization_report`` are the three verification suites written
-vector by vector over these classes, drawing their random data in the
-same order as the package.  ``check_relations_unit_vectors`` is the array
+vector by vector over these classes.  The first two are the sampled
+suites: they check random vectors where the package checks spanning
+sets, so they agree with it on every verdict but not on the values.
+``random_domain_vector`` draws the package's stream.
+``check_relations_unit_vectors`` is the array
 relation check on the stack of all basis vectors, which the package's
 per-layer check must match exactly.  ``tests/test_lattice_oracle.py``
 compares the package against all of it on seeded inputs.
@@ -398,7 +401,7 @@ def random_domain_vector(triple, rng, margin=2, density=0.3):
 def verify_extension(triple, n_pairs=100, seed=None, tol=1e-12):
     """The extension suite, one vector at a time."""
     rng = np.random.default_rng(seed)
-    report = ExtensionReport(n_pairs=n_pairs, seed=seed)
+    report = ExtensionReport()
     family = triple.family
     q = family.q
     report.checks.append(VerificationCheck(

@@ -474,6 +474,17 @@ class TestSchrodinger:
         assert result.stderr.startswith(f"error: q = {q} is too small")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("q", ["1e-8", "1e-9", "1e-10"])
+    def test_overflowing_inner_products_exit_with_usage_code(self, q):
+        # the packets' inner products overflow to nan here, which the
+        # residual folds used to drop, so that the checks passed vacuously
+        result = run_cli("schrodinger", "--q", q, "--samples", "20",
+                         "--seed", "3")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: a wavepacket inner product")
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("samples", ["0", "-3", "1", "1001"])
     def test_sample_counts_outside_the_range_exit_with_usage_code(
             self, samples):

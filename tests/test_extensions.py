@@ -309,7 +309,7 @@ class TestVerification:
     def test_good_triple_passes(self):
         rng = np.random.default_rng(15)
         triple = random_triple(rng)
-        report = verify_extension(triple, n_pairs=30, seed=100)
+        report = verify_extension(triple)
         assert report.passed, report.to_json()
         names = {c.name for c in report.checks}
         assert "boundary pairing vanishes on conforming pairs" in names
@@ -317,7 +317,7 @@ class TestVerification:
         assert "assembled model is hermitian" in names
 
     def test_phase_triple_passes(self):
-        report = verify_extension(simple_triple(), n_pairs=30, seed=101)
+        report = verify_extension(simple_triple())
         assert report.passed, report.to_json()
 
     def test_corrupted_map_fails_loudly(self):
@@ -325,14 +325,14 @@ class TestVerification:
         good = make_boundary_map(fam, phases=(0.3, 0.9))
         bad = BoundaryMap(fam, good.vprime, 1.3 * good.wprime, validate=False)
         triple = ExtensionTriple(fam, Window(-6, 8), bad)
-        report = verify_extension(triple, n_pairs=20, seed=102)
+        report = verify_extension(triple)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "boundary pairing vanishes on conforming pairs" in failed
         assert "derived maps are boundary-metric unitaries" in failed
 
     def test_report_json(self):
-        report = verify_extension(simple_triple(), n_pairs=5, seed=103)
+        report = verify_extension(simple_triple())
         data = report.to_json()
         assert data["passed"] is True
         assert len(data["checks"]) >= 6

@@ -5,8 +5,10 @@ over entries, as the package did before its vectors became arrays.  Here
 both run on seeded families, windows and vectors: generator images and
 their lost flags, inner products, generator matrices, tail vectors, the
 relation checks (also against the unit-vector array check they replaced),
-the random draws of the suites, and every check of the three verification
-suites on catalog kinds 1-5.
+the random domain vectors, and the three verification suites on catalog
+kinds 1-5 and random boundary maps: every check of the structural suite,
+and the verdicts of the two suites that the oracle checks on random
+vectors and the package on spanning sets.
 """
 import random
 import tracemalloc
@@ -15,10 +17,13 @@ import numpy as np
 import pytest
 
 import lattice_oracle as oracle
-from qheis.adjoint import TailVector, apply_X_star
+from qheis.adjoint import (TailVector, apply_X_star, boundary_form,
+                           boundary_form_direct)
 from qheis.classify import (build_catalog_triple, characterization_report,
-                            representation_samples, verify_representation)
-from qheis.extensions import random_domain_vectors, verify_extension
+                            verify_representation)
+from qheis.extensions import (BoundaryMap, ExtensionTriple, _tail_checks,
+                              conforming_tails, random_boundary_map,
+                              random_domain_vector, verify_extension)
 from qheis.lattice import (MAX_SITES, Atom, AtomFamily, LatticeVector,
                            Window, apply_generator, check_relations_lattice,
                            inner, lattice_grid, matrix_of)
@@ -194,12 +199,9 @@ def test_characterization_of_the_largest_window_stays_small():
 def test_domain_vectors_draw_the_oracle_stream(kind):
     triple = build_catalog_triple(kind)
     rng, reference = np.random.default_rng(kind), np.random.default_rng(kind)
-    stack = random_domain_vectors(triple, rng, 12)
-    assert stack.finite.coeffs.shape == (12,) + lattice_grid(
-        triple.family, triple.window).shape
-    for k in range(12):
+    for _ in range(12):
+        got = random_domain_vector(triple, rng)
         want = oracle.random_domain_vector(triple, reference)
-        got = stack[k]
         assert_same_vector(got.finite, want.finite)
         for sign in (+1, -1):
             assert np.allclose(got.even[sign], want.even[sign], atol=1e-15)
@@ -207,28 +209,16 @@ def test_domain_vectors_draw_the_oracle_stream(kind):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-@pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])
-def test_representation_samples_draw_the_oracle_stream(kind):
-    family = build_catalog_triple(kind).family
-    window = Window(-8, 9)
-    rng, reference = random.Random(kind), random.Random(kind)
-    pairs, samples = representation_samples(lattice_grid(family, window),
-                                            rng, 3, 6)
-    want_pairs, want_samples = oracle.representation_samples(
-        family, window, 3, 6, reference)
-    assert rng.getstate() == reference.getstate()
-
-    def entries(array):
-        return LatticeVector.from_array(family, window, array).entries
-
-    got_pairs = pairs.reshape((-1,) + pairs.shape[2:])
-    assert len(got_pairs) == len(want_pairs)
-    for got, want in zip(got_pairs, want_pairs):
-        assert entries(got) == want.entries
-    for got, want in zip(samples, want_samples):
-        assert got[:2] == want[:2]
-        for array, vector in zip(got[2:], want[2:]):
-            assert entries(array) == vector.entries
+def assert_same_verdicts(got, want):
+    """Equal report fields, and per check equal names, bounds, kinds and
+    verdicts; values and details may differ."""
+    got, want = got.to_json(), want.to_json()
+    assert {k: v for k, v in got.items() if k != "checks"} == {
+        k: v for k, v in want.items() if k != "checks"}
+    assert [[c[k] for k in ("name", "bound", "kind", "passed")]
+            for c in got["checks"]] == [
+        [c[k] for k in ("name", "bound", "kind", "passed")]
+        for c in want["checks"]]
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])
@@ -238,11 +228,90 @@ def test_suites_match_the_oracle(kind, seed):
     triple = build_catalog_triple(kind, params)
     assert_same_checks(characterization_report(triple),
                        oracle.characterization_report(triple))
-    assert_same_checks(verify_extension(triple, n_pairs=30, seed=seed),
-                       oracle.verify_extension(triple, n_pairs=30, seed=seed))
-    assert_same_checks(
-        verify_representation(triple.family, n_samples=8, seed=seed),
-        oracle.verify_representation(triple.family, n_samples=8, seed=seed))
+    for q in (0.3, 0.45, 0.55):
+        triple = build_catalog_triple(kind, {"q": q})
+        got = verify_extension(triple)
+        assert got.passed
+        assert_same_verdicts(
+            got, oracle.verify_extension(triple, n_pairs=10, seed=seed))
+        assert_same_verdicts(
+            verify_representation(triple.family, n_samples=4, seed=seed),
+            oracle.verify_representation(triple.family, n_samples=4,
+                                         seed=seed))
+
+
+def random_triple(seed: int) -> ExtensionTriple:
+    rng = random.Random(seed)
+    q = rng.uniform(0.2, 0.7)
+    dim = rng.randint(1, 3)
+    family = AtomFamily(q, *([Atom(rng.uniform(q, 0.99), rng.uniform(0.5, 2.0))
+                              for _ in range(dim)] for _ in range(2)))
+    window = Window(rng.randint(-6, -1), rng.randint(1, 9))
+    return ExtensionTriple(family, window, random_boundary_map(
+        family, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_suites_match_the_oracle_on_random_boundary_maps(seed):
+    triple = random_triple(500 + seed)
+    got = verify_extension(triple, tol=1e-12)
+    assert got.passed, got.to_json()
+    assert_same_verdicts(got, oracle.verify_extension(triple, n_pairs=10,
+                                                      seed=seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_basis_pairing_matches_the_direct_evaluation(seed):
+    """The pairing matrix of the basis the pairing check reads, against
+    the definition <X* f, g> - <f, X* g> pair by pair."""
+    triple = random_triple(600 + seed)
+    basis = conforming_tails(triple)
+    basis = basis.scale(1.0 / basis.norm())
+    forms = boundary_form(basis[:, None], basis[None])
+    k = len(forms)
+    assert forms.shape == (k, k) and k == 2 * triple.bmap.dim
+    for i in range(k):
+        for j in range(k):
+            direct = boundary_form_direct(basis[i], basis[j])
+            assert abs(forms[i, j] - direct) <= 1e-13 * max(1.0, abs(direct))
+
+
+def test_a_map_that_is_no_weight_isometry_fails_both_pairing_checks():
+    triple = build_catalog_triple(2)
+    bad = ExtensionTriple(triple.family, triple.window, BoundaryMap(
+        triple.family, 1.2 * triple.bmap.vprime, triple.bmap.wprime,
+        validate=False))
+    name = "boundary pairing vanishes on conforming pairs"
+    for report in (verify_extension(bad),
+                   oracle.verify_extension(bad, n_pairs=10, seed=1)):
+        failed = {c.name for c in report.checks if not c.passed}
+        assert name in failed
+
+
+@pytest.mark.parametrize("kind, window", [(1, Window(-6, 1017)),
+                                          (5, Window(-6, 249))])
+def test_extension_checks_at_the_largest_windows_stay_small(kind, window):
+    """MAX_SITES sites.  The parent's sampled checks peaked at 14.6 MiB
+    (kind 1) and 14.0 MiB (kind 5) traced, and its whole suite at 256 MiB,
+    almost all of it the assembled model.  An array with one site row per
+    pair of the 32 kind-5 members of the direct check would alone take
+    32 MiB."""
+    triple = build_catalog_triple(kind, {"q": 0.6} if kind == 1 else
+                                  {"window": window})
+    triple = ExtensionTriple(triple.family, window, triple.bmap)
+    assert lattice_grid(triple.family, window).position.size == MAX_SITES
+    peaks = []
+    for run in (lambda: _tail_checks(triple, 1e-12),
+                lambda: verify_extension(triple)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert all(check.passed for check in result.checks)
+    assert peaks[0] < 14 * 2**20
+    assert peaks[1] < 257 * 2**20
 
 
 def test_unknown_generator_names_are_refused():

@@ -253,6 +253,22 @@ class TestEvaluate:
         text = "p*x - s^-2*x*p + i*(s^-3 - s)*u^-1"
         assert parse_to_element(text) == AlgebraElement.zero()
 
+    def test_a_repeated_subexpression_is_evaluated_once(self, monkeypatch):
+        p_plus_x = AlgebraElement.generator("p") + AlgebraElement.generator("x")
+        want = multiply(p_plus_x ** 3, p_plus_x ** 3)
+        exponents = []
+        power = AlgebraElement.__pow__
+
+        def counted(base, n):
+            exponents.append(n)
+            return power(base, n)
+        monkeypatch.setattr(AlgebraElement, "__pow__", counted)
+        assert parse_to_element("(p+x)^3*(p+x)^3") == want
+        assert exponents == [3]
+        # each call starts afresh
+        assert parse_to_element("(p+x)^3") == p_plus_x ** 3
+        assert exponents == [3, 3, 3]
+
 
 class TestRoundTrip:
     def test_random_trees_survive_printing_and_reparsing(self):
