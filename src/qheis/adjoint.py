@@ -382,12 +382,13 @@ def boundary_form(f: TailVector, g: TailVector) -> complex:
 
 def boundary_form_direct(f: TailVector, g: TailVector) -> complex:
     """T(f, g) straight from the definition; the oracle for boundary_form.
+    Stacks pair by broadcasting, as there.
 
-    Raises when either adjoint image loses support at the window edge, since
+    Raises when any adjoint image loses support at the window edge, since
     the sesquilinear pairing would then be computed from a mutilated vector.
     """
     xf = apply_X_star(f)
     xg = apply_X_star(g)
-    if xf.finite.lost or xg.finite.lost:
+    if np.any(xf.finite.lost) or np.any(xg.finite.lost):
         raise ValueError("adjoint image lost support at the window edge")
     return xf.inner(g) - f.inner(xg)

@@ -59,6 +59,7 @@ from .extensions import (  # CommutantProblem re-exported
 from .lattice import (
     Atom,
     AtomFamily,
+    CheckReport,
     LatticeGrid,
     LatticeVector,
     VerificationCheck,
@@ -118,20 +119,14 @@ _LETTER_PAIRS = [(g1, g2) for g1 in GENERATOR_LETTERS
 
 
 @dataclass
-class RepresentationReport:
-    checks: list[VerificationCheck]
+class RepresentationReport(CheckReport):
     degree: int
     n_samples: int
     seed: int | None
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def to_json(self) -> dict:
-        return {"passed": self.passed, "degree": self.degree,
-                "n_samples": self.n_samples, "seed": self.seed,
-                "checks": [c.to_json() for c in self.checks]}
+        return {**super().to_json(), "degree": self.degree,
+                "n_samples": self.n_samples, "seed": self.seed}
 
 
 def verify_representation(family: AtomFamily, window: Window | None = None,
@@ -540,21 +535,8 @@ def build_catalog_triple(kind: int,
     raise ValueError(f"unknown catalog kind {kind}; choose 1..5")
 
 
-@dataclass
-class CharacterizationReport:
-    checks: list[VerificationCheck]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed,
-                "checks": [c.to_json() for c in self.checks]}
-
-
 def characterization_report(triple: ExtensionTriple,
-                            tol: float = 1e-12) -> CharacterizationReport:
+                            tol: float = 1e-12) -> CheckReport:
     """Structural health check of a triple: the lattice data really carries
     the defining relations, the position operator is hermitian with trivial
     kernel, masses decay geometrically, the shift is isometric and the
@@ -608,4 +590,4 @@ def characterization_report(triple: ExtensionTriple,
     checks.append(VerificationCheck(
         "boundary matrices are weight isometries",
         triple.bmap.k_isometry_residual(), max(tol, 1e-10)))
-    return CharacterizationReport(checks)
+    return CheckReport(checks)

@@ -26,22 +26,23 @@ boundary metric and the JSON round trip on top.
 every lattice site strictly inside the window, plus one conforming tail
 remainder per minus atom and parity.  A remainder is a closed-form tail
 that starts at layer n_max, given by its point values on the two parity
-classes of layers, so the model's Gram and action matrices are built from
-a few array operations with no cancelling sums; the site block is written
-from the ``LatticeGrid`` X coefficients.  The model space sits
-inside the operator domain, so the compressed matrix is Hermitian up to
-rounding and its spectrum approximates the restriction's.
+classes of layers.  The remainders are orthonormalised among themselves,
+and they are orthogonal to the sites, so the model is one matrix in an
+orthonormal basis, built from a few array operations with no cancelling
+sums; the site block is written from the ``LatticeGrid`` X coefficients.
+The model space sits inside the operator domain, so the matrix is
+Hermitian up to rounding and its spectrum approximates the restriction's.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .adjoint import TailVector, apply_U, apply_X_star, boundary_form
-from .lattice import (AtomFamily, VerificationCheck, Window, lattice_grid,
-                      relative_residual)
+from .lattice import (AtomFamily, CheckReport, VerificationCheck, Window,
+                      lattice_grid, relative_residual)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -365,51 +366,66 @@ def remainder_amplitudes(triple: ExtensionTriple) -> tuple[np.ndarray, np.ndarra
     return (even.T, odd.T) if triple.window.n_max % 2 == 0 else (odd.T, even.T)
 
 
+def remainder_coefficients(triple: ExtensionTriple) -> tuple[np.ndarray, np.ndarray]:
+    """Site coefficients (alpha, beta) of orthonormal conforming tail
+    remainders, in units of q^{N/2} for N = n_max: remainder c is
+    alpha[:, c] q^m on the sites of layer N + 2m and beta[:, c] q^m on
+    those of layer N + 2m + 1 (the q^N of the masses cancels in the model).
+
+    The remainders (A, B) of ``remainder_amplitudes`` have these
+    coefficients sqrt(w) A and sqrt(q w) B, and Gram matrix
+    (alpha* alpha + beta* beta) / (1 - q^2) = L L*; both are multiplied
+    by L^-*, so the span is kept and the Gram becomes the identity.
+    """
+    q, grid = triple.family.q, lattice_grid(triple.family, triple.window)
+    first, second = remainder_amplitudes(triple)
+    root_w = np.sqrt(grid.weights)[:, None]
+    alpha, beta = root_w * first, math.sqrt(q) * root_w * second
+    chol = np.linalg.cholesky(
+        (alpha.conj().T @ alpha + beta.conj().T @ beta) / (1.0 - q * q))
+    return (np.linalg.solve(chol.conj(), alpha.T).T,
+            np.linalg.solve(chol.conj(), beta.T).T)
+
+
 @dataclass
 class AssembledOperator:
     """Finite Hermitian model of a self-adjoint restriction.
 
-    ``gram`` and ``form`` are the Gram and action matrices of the model
-    basis; the orthonormalized matrix is Hermitian because the model space
-    sits inside the operator domain.  Labels name each basis vector: sites
-    as ("site", sign, j, n), tail remainders as ("tail", parity, k).
+    ``matrix`` is the restricted operator in the orthonormal model basis;
+    it is Hermitian because the model space sits inside the operator
+    domain.  Labels name each basis vector: sites as ("site", sign, j, n),
+    orthonormal tail remainders as ("tail", parity, k).
     """
 
-    triple: ExtensionTriple
     labels: list[tuple]
-    gram: np.ndarray
-    form: np.ndarray
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     def hermiticity_residual(self) -> float:
-        return float(relative_residual(self.form, self.form.conj().T))
+        return float(relative_residual(self.matrix, self.matrix.conj().T))
 
     def hermitian_matrix(self) -> np.ndarray:
-        """The model matrix in an orthonormal basis: L^{-1} R L^{-*} for the
-        Cholesky factor gram = L L* (the reduction of the generalized
-        Hermitian eigenproblem R v = lambda G v to a standard one)."""
-        inv = np.linalg.inv(np.linalg.cholesky(self.gram))
-        return inv @ self.form @ inv.conj().T
+        """``matrix`` itself, not a copy."""
+        return self.matrix
 
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.hermitian_matrix())
+        return np.linalg.eigvalsh(self.matrix)
 
     def site_label_indices(self) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab[0] == "site"]
 
 
 def assemble(triple: ExtensionTriple) -> AssembledOperator:
-    """Compress the restriction onto interior sites plus conforming tail
+    """Compress the restriction onto interior sites plus orthonormal tail
     remainders, with every matrix entry in closed form and no cancellation.
 
-    Sites are orthonormal, and the form's site block is X between them.  A
-    remainder (A, B) of ``remainder_amplitudes`` vanishes below N = n_max,
-    so it is orthogonal to the sites; remainders c, d have Gram entry
-    q^N / (1 - q^2) sum_j w_j (A_cj conj(A_dj) + q B_cj conj(B_dj)), and
-    each is normalized by its own.  X* r has point values (i / t_{N-1})(-A)
+    Sites are orthonormal, and the site block is X between them.  The
+    remainders of ``remainder_coefficients`` are orthonormal and vanish
+    below N = n_max, so they are orthogonal to the sites.  X* of a
+    remainder with point values (A, B) has point values (i / t_{N-1})(-A)
     at layer N - 1 and (i / t_N)(-B) at layer N, and no others.
     """
     family, window = triple.family, triple.window
@@ -419,53 +435,27 @@ def assemble(triple: ExtensionTriple) -> AssembledOperator:
     n_sites = len(labels)
     labels += [("tail", parity, k) for parity in ("even", "odd")
                for k in range(len(family.minus))]
+    alpha, beta = remainder_coefficients(triple)
 
-    # basis coefficients of the normalized remainders on layers N and N + 1;
-    # q^N cancels between the tail mass and the point masses
-    first, second = remainder_amplitudes(triple)
-    root_w = np.sqrt(grid.weights)
-    alpha = root_w[:, None] * first
-    beta = math.sqrt(q) * root_w[:, None] * second
-    scale = np.sqrt((1.0 - q * q) / np.sum(
-        np.abs(alpha) ** 2 + np.abs(beta) ** 2, axis=0))
-    alpha, beta = alpha * scale, beta * scale
-
-    dim = len(labels)
-    gram = np.eye(dim, dtype=complex)
-    gram[n_sites:, n_sites:] = (alpha.conj().T @ alpha
-                                + beta.conj().T @ beta) / (1.0 - q * q)
-    form = np.zeros((dim, dim), dtype=complex)
+    matrix = np.zeros((len(labels), len(labels)), dtype=complex)
     # sites[i, k] is the model index of atom i at grid column k + 1; X moves
     # each site one layer up (x_up) and one down (x_down) within its atom
     sites = np.arange(n_sites).reshape(len(grid.keys), len(layers))
-    form[sites[:, 1:], sites[:, :-1]] = grid.x_up[:, 1:-2]
-    form[sites[:, :-1], sites[:, 1:]] = grid.x_down[:, 2:-1]
+    matrix[sites[:, 1:], sites[:, :-1]] = grid.x_up[:, 1:-2]
+    matrix[sites[:, :-1], sites[:, 1:]] = grid.x_down[:, 2:-1]
     # X sends the top interior site, at layer N - 1, to layer N with
     # coefficient (i / t_{N-1}) q^{-1/2}
     top = sites[:, -1]
     up = 1j / (grid.position[:, -2] * math.sqrt(q))
-    form[n_sites:, top] = (up[:, None] * alpha.conj()).T
-    form[top, n_sites:] = -up[:, None] * alpha
-    form[n_sites:, n_sites:] = -alpha.conj().T @ ((up / q)[:, None] * beta)
-    return AssembledOperator(triple, labels, gram, form)
+    matrix[n_sites:, top] = (up[:, None] * alpha.conj()).T
+    matrix[top, n_sites:] = -up[:, None] * alpha
+    matrix[n_sites:, n_sites:] = -alpha.conj().T @ ((up / q)[:, None] * beta)
+    return AssembledOperator(labels, matrix)
 
 
 def spectrum(triple: ExtensionTriple) -> np.ndarray:
     """Eigenvalues of the assembled finite model, ascending."""
     return assemble(triple).spectrum()
-
-
-@dataclass
-class ExtensionReport:
-    checks: list[VerificationCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed,
-                "checks": [c.to_json() for c in self.checks]}
 
 
 def _tail_checks(triple: ExtensionTriple,
@@ -545,7 +535,7 @@ def _tail_checks(triple: ExtensionTriple,
 
 def verify_extension(triple: ExtensionTriple, n_pairs: int = 100,
                      seed: int | None = None,
-                     tol: float = 1e-12) -> ExtensionReport:
+                     tol: float = 1e-12) -> CheckReport:
     """Check everything that makes the restriction self-adjoint in practice.
 
     Measures the boundary pairing on all pairs of a basis of the conforming
@@ -557,7 +547,7 @@ def verify_extension(triple: ExtensionTriple, n_pairs: int = 100,
     model.  Nothing is drawn at random: ``n_pairs`` and ``seed`` are
     accepted for old callers and not read.
     """
-    report = ExtensionReport([
+    report = CheckReport([
         VerificationCheck("boundary matrices are weight isometries",
                           triple.bmap.k_isometry_residual(), max(tol, 1e-10)),
         VerificationCheck("derived maps are boundary-metric unitaries",

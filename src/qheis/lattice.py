@@ -438,6 +438,21 @@ class VerificationCheck:
 
 
 @dataclass
+class CheckReport:
+    """Named checks that pass only together."""
+
+    checks: list[VerificationCheck]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def to_json(self) -> dict:
+        return {"passed": self.passed,
+                "checks": [c.to_json() for c in self.checks]}
+
+
+@dataclass
 class RelationCheck:
     name: str
     max_residual: float

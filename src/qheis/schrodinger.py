@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import VerificationCheck
+from .lattice import CheckReport, VerificationCheck
 
 OPERATORS = ("U", "U*", "P", "Pinv", "X")
 
@@ -264,21 +264,15 @@ def random_packet(rng: random.Random, max_terms: int = 3) -> GaussianElement:
 
 
 @dataclass
-class SchrodingerReport:
-    checks: list[VerificationCheck]
+class SchrodingerReport(CheckReport):
     alpha: float
     n_samples: int
     seed: int | None
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def to_json(self) -> dict:
-        return {"passed": self.passed, "alpha": self.alpha,
+        return {**super().to_json(), "alpha": self.alpha,
                 "q": math.exp(-self.alpha), "n_samples": self.n_samples,
-                "seed": self.seed,
-                "checks": [c.to_json() for c in self.checks]}
+                "seed": self.seed}
 
 
 def _relation_pairs(params: SchrodingerParams):

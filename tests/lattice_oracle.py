@@ -22,11 +22,11 @@ import random
 import numpy as np
 
 from qheis.algebra import GENERATOR_LETTERS, AlgebraElement, random_element, star
-from qheis.classify import CharacterizationReport, RepresentationReport
-from qheis.extensions import ExtensionReport, VerificationCheck, assemble
-from qheis.lattice import (GENERATOR_NAMES, LatticeRelationReport,
-                           RelationCheck, act, basis_indices, lattice_grid,
-                           relative_residual)
+from qheis.classify import RepresentationReport
+from qheis.extensions import assemble
+from qheis.lattice import (GENERATOR_NAMES, CheckReport, LatticeRelationReport,
+                           RelationCheck, VerificationCheck, act,
+                           basis_indices, lattice_grid, relative_residual)
 
 
 class LatticeVector:
@@ -401,7 +401,7 @@ def random_domain_vector(triple, rng, margin=2, density=0.3):
 def verify_extension(triple, n_pairs=100, seed=None, tol=1e-12):
     """The extension suite, one vector at a time."""
     rng = np.random.default_rng(seed)
-    report = ExtensionReport()
+    report = CheckReport([])
     family = triple.family
     q = family.q
     report.checks.append(VerificationCheck(
@@ -600,4 +600,4 @@ def characterization_report(triple, tol=1e-12):
     checks.append(VerificationCheck(
         "boundary matrices are weight isometries",
         triple.bmap.k_isometry_residual(), max(tol, 1e-10)))
-    return CharacterizationReport(checks)
+    return CheckReport(checks)

@@ -14,11 +14,19 @@ from qheis.adjoint import (
     extract_tails,
     materialize,
 )
+from qheis.classify import build_catalog_triple
 from qheis.lattice import Atom, AtomFamily, LatticeVector, Window, apply_generator, inner
 
 
 def two_sided_family(q=0.5):
     return AtomFamily(q, [Atom(0.7, 1.0), Atom(0.9, 2.0)], [Atom(0.6, 0.5)])
+
+
+def stack_of(members):
+    """One stack of tail vectors with the given members, in order."""
+    arrays = zip(*(m.arrays() for m in members))
+    return TailVector.from_arrays(members[0].family, members[0].window,
+                                  *(np.stack(a) for a in arrays))
 
 
 def random_tail_vector(family, window, rng, margin=1, top_gap=0):
@@ -293,6 +301,34 @@ class TestBoundaryForm:
             LatticeVector.basis_vector(fam, win, +1, 0, -3))
         with pytest.raises(ValueError):
             boundary_form_direct(f, f)
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5])
+    def test_direct_pairs_stacks_like_single_members(self, kind):
+        triple = build_catalog_triple(kind)
+        rng = random.Random(70 + kind)
+        stack = stack_of([random_tail_vector(triple.family, triple.window,
+                                             rng) for _ in range(3)])
+        got = boundary_form_direct(stack[:, None], stack[None])
+        assert got.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                want = boundary_form_direct(stack[i], stack[j])
+                assert abs(got[i, j] - want) <= 1e-13 * max(1.0, abs(want))
+        assert np.allclose(boundary_form_direct(stack, stack),
+                           np.diag(got), rtol=1e-13, atol=1e-13)
+
+    def test_direct_raises_when_one_stack_member_loses_support(self):
+        triple = build_catalog_triple(3)
+        family, window = triple.family, triple.window
+        rng = random.Random(76)
+        edge = TailVector.from_finite(LatticeVector.basis_vector(
+            family, window, +1, 0, window.n_min))
+        stack = stack_of([random_tail_vector(family, window, rng), edge,
+                          random_tail_vector(family, window, rng)])
+        with pytest.raises(ValueError, match="lost support"):
+            boundary_form_direct(stack[:, None], stack[None])
+        with pytest.raises(ValueError, match="lost support"):
+            boundary_form_direct(stack, stack)
 
 
 class TestExtraction:

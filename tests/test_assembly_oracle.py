@@ -4,10 +4,13 @@
 arithmetic: each remainder is a full conforming tail minus its own point
 values below the window top, and every Gram and form entry is one
 ``TailVector.inner``.  Its remainder norms are an O(1) tail mass minus an
-almost equal finite sum, so it is only trusted where q^n_max >= 1e-5.  The
-remainder Gram is also checked at every height against direct summation of
-point values, in floats and in exact rationals.
+almost equal finite sum, so it is only trusted where q^n_max >= 1e-5.
+Its Gram and action matrices give the model matrix L^-1 R L^-* for the
+Cholesky factor G = L L*, and the eigenvalues of G^-1 R.  At every height
+the remainders ``assemble`` uses are also checked to be orthonormal by
+direct summation of point values, in floats and in exact rationals.
 """
+import functools
 import math
 import random
 from fractions import Fraction
@@ -23,6 +26,7 @@ from qheis.extensions import (
     assemble,
     project_to_domain,
     remainder_amplitudes,
+    remainder_coefficients,
 )
 from qheis.lattice import Atom, AtomFamily, LatticeVector, Window, basis_indices
 
@@ -79,9 +83,11 @@ def reference_assemble(triple):
     return labels, gram, form
 
 
-def spectrum_of(gram, form):
+def orthonormal_matrix(gram, form):
+    """L^-1 R L^-* for the Cholesky factor gram = L L*: the action in the
+    orthonormal basis that the Cholesky factor gives."""
     inv = np.linalg.inv(np.linalg.cholesky(gram))
-    return np.linalg.eigvalsh(inv @ form @ inv.conj().T)
+    return inv @ form @ inv.conj().T
 
 
 def oracle_amplitudes(triple):
@@ -102,35 +108,39 @@ def oracle_amplitudes(triple):
     return out
 
 
-def summed_gram(triple):
-    """Remainder Gram by direct summation of point values over layers
-    n_max ... n_max + L with q^L < 1e-20: only positive terms of one
-    geometric series, no subtraction."""
+def used_amplitudes(triple):
+    """Per remainder that ``assemble`` uses: (even, odd) point values over
+    plus then minus atoms, in units of q^(-n_max / 2), read back from the
+    site coefficients of ``remainder_coefficients``."""
+    family, n_max = triple.family, triple.window.n_max
+    weights = np.array([a.weight for s in (+1, -1) for a in family.atoms(s)])
+    alpha, beta = remainder_coefficients(triple)
+    first = alpha / np.sqrt(weights)[:, None]
+    second = beta / np.sqrt(family.q * weights)[:, None]
+    even, odd = (first, second) if n_max % 2 == 0 else (second, first)
+    return [(even[:, c], odd[:, c]) for c in range(even.shape[1])]
+
+
+def summed_gram(triple, amplitudes):
+    """Gram of tail remainders with the given (even, odd) point values, in
+    units of q^n_max, by direct summation over layers n_max ... n_max + L
+    with q^L < 1e-20: only positive terms of one geometric series, no
+    subtraction."""
     family, window = triple.family, triple.window
     q = family.q
-    amplitudes = oracle_amplitudes(triple)
     weights = np.array([a.weight for s in (+1, -1) for a in family.atoms(s)])
     extra = int(math.ceil(20 * math.log(10) / -math.log(q))) + 1
     gram = np.zeros((len(amplitudes),) * 2, dtype=complex)
     for n in range(window.n_max, window.n_max + extra + 1):
         values = np.array([even if n % 2 == 0 else odd
                            for even, odd in amplitudes])
-        gram += (weights * q ** n * values) @ values.conj().T
+        gram += (weights * q ** (n - window.n_max) * values) @ values.conj().T
     return gram.T
-
-
-def normalized(gram):
-    scale = 1.0 / np.sqrt(np.diag(gram).real)
-    return scale[:, None] * gram * scale[None, :]
 
 
 def catalog(kind, q, n_max, n_min=-6):
     return build_catalog_triple(
         kind, {"q": q, "window": {"n_min": n_min, "n_max": n_max}})
-
-
-def relative_gap(new, old):
-    return float(np.linalg.norm(new - old) / np.linalg.norm(old))
 
 
 def oracle_configs():
@@ -145,18 +155,35 @@ def oracle_configs():
     return configs
 
 
-@pytest.mark.parametrize("kind,q,n_max", oracle_configs())
-def test_matches_reference_assembly(kind, q, n_max):
+@functools.lru_cache(maxsize=None)
+def reference_model(kind, q, n_max):
+    """(triple, labels, gram, form) of the entry-by-entry assembly, built
+    once per config for the tests that share it."""
     triple = catalog(kind, q, n_max, n_min=-4)
     assert q ** n_max >= 1e-5
+    return (triple, *reference_assemble(triple))
+
+
+@pytest.mark.parametrize("kind,q,n_max", oracle_configs())
+def test_matches_reference_assembly(kind, q, n_max):
+    triple, labels, gram, form = reference_model(kind, q, n_max)
     model = assemble(triple)
-    labels, gram, form = reference_assemble(triple)
     assert model.labels == labels
-    assert relative_gap(model.gram, gram) <= 1e-10
-    assert relative_gap(model.form, form) <= 1e-10
-    ref = spectrum_of(gram, form)
+    want = orthonormal_matrix(gram, form)
+    got = model.hermitian_matrix()
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    ref = np.linalg.eigvalsh(want)
     radius = float(np.max(np.abs(ref)))
     assert np.max(np.abs(model.spectrum() - ref)) <= 1e-10 * radius
+
+
+@pytest.mark.parametrize("kind,q,n_max", oracle_configs())
+def test_spectrum_matches_unreduced_eigenproblem(kind, q, n_max):
+    # independent of any Cholesky reduction: eigenvalues of G^-1 R
+    triple, _, gram, form = reference_model(kind, q, n_max)
+    ref = np.sort(np.linalg.eigvals(np.linalg.solve(gram, form)).real)
+    vals = assemble(triple).spectrum()
+    assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_remainder_amplitudes_match_projection():
@@ -176,28 +203,36 @@ HEIGHTS = [(kind, q, n_max) for kind in (1, 2, 3, 4, 5)
 
 @pytest.mark.parametrize("kind,q,n_max", HEIGHTS)
 def test_remainder_gram_matches_direct_sums(kind, q, n_max):
+    """The remainders ``assemble`` uses are orthonormal, summed layer by
+    layer, and they are the projected unit minus tails times an upper
+    triangular matrix: the Gram-Schmidt order of the Cholesky factor."""
     triple = catalog(kind, q, n_max)
-    model = assemble(triple)
-    tails = [i for i, lab in enumerate(model.labels) if lab[0] == "tail"]
-    sites = model.site_label_indices()
-    want = normalized(summed_gram(triple))
-    got = model.gram[np.ix_(tails, tails)]
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.all(model.gram[np.ix_(sites, tails)] == 0)
+    used = used_amplitudes(triple)
+    gram = summed_gram(triple, used)
+    assert np.max(np.abs(gram - np.eye(len(used)))) <= 1e-12
+
+    def columns(amplitudes):
+        return np.array([np.concatenate(pair) for pair in amplitudes]).T
+    raw, got = columns(oracle_amplitudes(triple)), columns(used)
+    mix = np.linalg.lstsq(raw, got, rcond=None)[0]
+    assert np.linalg.norm(raw @ mix - got) <= 1e-12 * np.linalg.norm(got)
+    assert np.max(np.abs(np.tril(mix, -1))) <= 1e-12 * np.max(np.abs(mix))
 
 
-def exact_gram(q, n_max, weights, amplitudes, extra):
-    """The summed Gram in exact rationals: amplitudes as (re, im) pairs of
-    Fractions, layers n_max ... n_max + extra."""
-    size = len(amplitudes)
+def exact_gram(q, coefficients, extra):
+    """Gram of tail remainders in exact rationals, from their site
+    coefficients (first, second) on layers N and N + 1 as (re, im) pairs of
+    Fractions: layer N + k carries q^(k // 2) times those of parity k % 2,
+    for k = 0 ... extra."""
+    size = len(coefficients)
     gram = [[(Fraction(0), Fraction(0))] * size for _ in range(size)]
-    for n in range(n_max, n_max + extra + 1):
+    for k in range(extra + 1):
+        mass = q ** (2 * (k // 2))
         for r in range(size):
             for c in range(size):
                 re, im = gram[r][c]
-                for w, x, y in zip(weights, amplitudes[c][n % 2],
-                                   amplitudes[r][n % 2]):
-                    mass = w * q ** n
+                for x, y in zip(coefficients[c][k % 2],
+                                coefficients[r][k % 2]):
                     # x conj(y) for x = (a, b), y = (e, f)
                     re += mass * (x[0] * y[0] + x[1] * y[1])
                     im += mass * (x[1] * y[0] - x[0] * y[1])
@@ -222,23 +257,12 @@ def rational_triple(q, n_max):
                                      (0.5, 60), (0.375, 41)])
 def test_remainder_gram_matches_exact_rationals(q, n_max):
     triple = rational_triple(q, n_max)
-    first, second = remainder_amplitudes(triple)
-    parity = {n_max % 2: first, (n_max + 1) % 2: second}
-    amplitudes = []
-    for c in range(first.shape[1]):
-        by_parity = {}
-        for par, mat in parity.items():
-            # Fraction(float) is exact: the sums see the inputs the
-            # float path sees
-            by_parity[par] = [(Fraction(z.real), Fraction(z.imag))
-                              for z in mat[:, c]]
-        amplitudes.append(by_parity)
-    weights = [Fraction(4), Fraction(4), Fraction(1), Fraction(1)]
+    alpha, beta = remainder_coefficients(triple)
+    # Fraction(float) is exact: the sums see the coefficients assemble uses
+    coefficients = [[[(Fraction(z.real), Fraction(z.imag)) for z in mat[:, c]]
+                     for mat in (alpha, beta)]
+                    for c in range(alpha.shape[1])]
     extra = int(math.ceil(20 * math.log(10) / -math.log(q))) + 1
-    exact = exact_gram(Fraction(q), n_max, weights, amplitudes, extra)
-    model = assemble(triple)
-    tails = [i for i, lab in enumerate(model.labels) if lab[0] == "tail"]
-    want = normalized(exact)
-    got = model.gram[np.ix_(tails, tails)]
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert model.hermiticity_residual() <= 1e-12
+    exact = exact_gram(Fraction(q), coefficients, extra)
+    assert np.max(np.abs(exact - np.eye(len(coefficients)))) <= 1e-12
+    assert assemble(triple).hermiticity_residual() <= 1e-12

@@ -7,7 +7,6 @@ import pytest
 from qheis.algebra import AlgebraElement
 from qheis.classify import (
     CATALOG_KINDS,
-    CharacterizationReport,
     CommutantProblem,
     EquivalenceReport,
     apply_element,

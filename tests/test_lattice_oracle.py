@@ -22,7 +22,7 @@ from qheis.adjoint import (TailVector, apply_X_star, boundary_form,
 from qheis.classify import (build_catalog_triple, characterization_report,
                             verify_representation)
 from qheis.extensions import (BoundaryMap, ExtensionTriple, _tail_checks,
-                              conforming_tails, random_boundary_map,
+                              assemble, conforming_tails, random_boundary_map,
                               random_domain_vector, verify_extension)
 from qheis.lattice import (MAX_SITES, Atom, AtomFamily, LatticeVector,
                            Window, apply_generator, check_relations_lattice,
@@ -288,30 +288,54 @@ def test_a_map_that_is_no_weight_isometry_fails_both_pairing_checks():
         assert name in failed
 
 
-@pytest.mark.parametrize("kind, window", [(1, Window(-6, 1017)),
-                                          (5, Window(-6, 249))])
-def test_extension_checks_at_the_largest_windows_stay_small(kind, window):
-    """MAX_SITES sites.  The parent's sampled checks peaked at 14.6 MiB
-    (kind 1) and 14.0 MiB (kind 5) traced, and its whole suite at 256 MiB,
-    almost all of it the assembled model.  An array with one site row per
-    pair of the 32 kind-5 members of the direct check would alone take
-    32 MiB."""
+LARGEST_WINDOWS = [(1, Window(-6, 1017)), (5, Window(-6, 249))]
+
+
+def largest_triple(kind, window):
+    """A catalog triple with MAX_SITES sites."""
     triple = build_catalog_triple(kind, {"q": 0.6} if kind == 1 else
                                   {"window": window})
     triple = ExtensionTriple(triple.family, window, triple.bmap)
     assert lattice_grid(triple.family, window).position.size == MAX_SITES
-    peaks = []
-    for run in (lambda: _tail_checks(triple, 1e-12),
-                lambda: verify_extension(triple)):
-        tracemalloc.start()
-        try:
-            result = run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert all(check.passed for check in result.checks)
-    assert peaks[0] < 14 * 2**20
-    assert peaks[1] < 257 * 2**20
+    return triple
+
+
+def traced_peak(run):
+    """(result, traced peak bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, window", LARGEST_WINDOWS)
+def test_extension_checks_at_the_largest_windows_stay_small(kind, window):
+    """MAX_SITES sites.  The sampled checks once peaked at 14.6 MiB
+    (kind 1) and 14.0 MiB (kind 5) traced.  The suite peaked at 256 MiB
+    while the model kept a dense Gram matrix beside its action; one
+    (sites + 2 dim)^2 complex matrix is 64 MiB, and the Hermiticity check
+    holds three.  An array with one site row per pair of the 32 kind-5
+    members of the direct check would alone take 32 MiB."""
+    triple = largest_triple(kind, window)
+    _, tail_peak = traced_peak(lambda: _tail_checks(triple, 1e-12))
+    report, peak = traced_peak(lambda: verify_extension(triple))
+    assert report.passed, report.to_json()
+    assert tail_peak < 14 * 2**20
+    assert peak < 200 * 2**20
+
+
+@pytest.mark.parametrize("kind, window", LARGEST_WINDOWS)
+def test_assembled_model_at_the_largest_windows_is_one_matrix(kind, window):
+    """MAX_SITES sites: the model is its one 64 MiB matrix.  With a dense
+    Gram matrix, its Cholesky factor and inverse, building the Hermitian
+    matrix peaked at 383 MiB traced."""
+    triple = largest_triple(kind, window)
+    matrix, peak = traced_peak(lambda: assemble(triple).hermitian_matrix())
+    # the interior sites of the 2 dim atoms, and 2 dim remainders
+    assert matrix.shape == (MAX_SITES - 2 * triple.bmap.dim,) * 2
+    assert peak < 70 * 2**20
 
 
 def test_unknown_generator_names_are_refused():
