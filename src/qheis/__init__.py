@@ -23,17 +23,16 @@ _EXPORTS = {
         "Atom", "AtomFamily", "LatticeVector", "Window", "apply_generator",
         "check_relations_lattice", "inner", "matrix_of"),
     "adjoint": (
-        "TailVector", "apply_U", "apply_U_star", "apply_X_star",
-        "boundary_form", "boundary_form_direct", "extract_tails",
-        "materialize"),
+        "TailVector", "apply_U", "apply_X_star", "boundary_form",
+        "boundary_form_direct"),
     "extensions": (
         "AssembledOperator", "BoundaryMap", "CommutantProblem",
-        "ExtensionTriple", "assemble", "domain_residual", "in_domain",
+        "ExtensionTriple", "assemble", "domain_residual",
         "make_boundary_map", "project_to_domain", "random_boundary_map",
         "random_domain_vector", "spectrum", "verify_extension"),
     "catalog": ("CATALOG_KINDS",),
     "classify": (
-        "apply_element", "build_catalog_triple", "characterization_report",
+        "build_catalog_triple", "characterization_report",
         "commutant_dim", "dft_matrix", "distinct_position_triple",
         "irreducibility_report", "repeated_position_triple",
         "single_atom_triple", "two_block_triple", "unitary_equivalent",

@@ -27,7 +27,7 @@ weights, boundary matrices) is one record, ``qheis.extensions.BoundaryMap``.
 A TailVector holds its finite part as a ``LatticeVector`` coefficient array
 and its amplitudes as two flat arrays over the atoms in ``basis_indices``
 order.  The arrays may carry leading stack axes: such a TailVector is a
-stack of vectors, and the inner product, the adjoint, the shifts and the
+stack of vectors, and the inner product, the adjoint, the shift and the
 boundary form act on every member at once (two stacks pair entrywise,
 with numpy broadcasting, so ``f[:, None]`` against ``g[None]`` gives every
 pair).  ``verify_extension`` checks the boundary form this way on a
@@ -43,8 +43,6 @@ from .lattice import (
     LatticeVector,
     Window,
     act,
-    lattice_grid,
-    sign_from_label,
     sign_label,
 )
 
@@ -76,7 +74,7 @@ class TailVector:
     (sign, j); ``odd[sign][j]`` the value on odd layers n >= 1.  The finite
     part may overlap the tail region; point values add.  Arrays with leading
     stack axes (see ``from_arrays``) make a stack of vectors; indexing picks
-    members, and the point-value and JSON methods take single vectors.
+    members, and the point-value methods take single vectors.
     """
 
     __slots__ = ("finite", "_even", "_odd")
@@ -136,17 +134,9 @@ class TailVector:
         return self._by_sign(self._odd)
 
     @classmethod
-    def zero(cls, family: AtomFamily, window: Window) -> "TailVector":
-        return cls(LatticeVector.zero(family, window))
-
-    @classmethod
-    def from_finite(cls, finite: LatticeVector) -> "TailVector":
-        return cls(finite)
-
-    @classmethod
     def pure_tail(cls, family: AtomFamily, window: Window, even=None,
                   odd=None) -> "TailVector":
-        return cls(LatticeVector.zero(family, window), even, odd)
+        return cls(LatticeVector(family, window), even, odd)
 
     def tail_point_value(self, sign: int, j: int, n: int) -> complex:
         if n >= 0 and n % 2 == 0:
@@ -159,25 +149,12 @@ class TailVector:
         return (self.finite.point_value(sign, j, n)
                 + self.tail_point_value(sign, j, n))
 
-    def is_tail_free(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self._even) <= tol)
-                    and np.all(np.abs(self._odd) <= tol))
-
-    def tail_norm_sq(self) -> float:
-        """Squared norm of the tail part alone."""
-        q = self.family.q
-        return np.sum(self.grid.weights / (1.0 - q * q) * (
-            np.abs(self._even) ** 2 + q * np.abs(self._odd) ** 2), axis=-1)
-
     def add(self, other: "TailVector") -> "TailVector":
         self._check_compatible(other)
         return TailVector.from_arrays(
             self.family, self.window, self.finite.coeffs + other.finite.coeffs,
             self._even + other._even, self._odd + other._odd,
             self.finite.lost | other.finite.lost)
-
-    def sub(self, other: "TailVector") -> "TailVector":
-        return self.add(other.scale(-1.0))
 
     def scale(self, c) -> "TailVector":
         """c times the vector; an array c scales the members of a stack."""
@@ -226,91 +203,10 @@ class TailVector:
     def _check_compatible(self, other: "TailVector") -> None:
         self.finite._check_compatible(other.finite)
 
-    def to_json(self) -> dict:
-        finite = [{"sign": sign_label(sign), "j": j, "n": n,
-                   "re": v.real, "im": v.imag}
-                  for (sign, j, n), v in self.finite.entries.items()]
-        def tail_rows(flat):
-            return [{"sign": sign_label(sign), "j": j, "re": v.real,
-                     "im": v.imag}
-                    for (sign, j), v in zip(self.grid.keys, flat.tolist())
-                    if v != 0]
-        return {"finite": finite, "even_tail": tail_rows(self._even),
-                "odd_tail": tail_rows(self._odd)}
-
-    @classmethod
-    def from_json(cls, data, family: AtomFamily, window: Window) -> "TailVector":
-        entries = {}
-        for row in data.get("finite", ()):
-            idx = (sign_from_label(row["sign"]), int(row["j"]), int(row["n"]))
-            entries[idx] = complex(float(row.get("re", 0.0)),
-                                   float(row.get("im", 0.0)))
-        def tail_part(rows):
-            part = {s: np.zeros(len(family.atoms(s)), dtype=complex)
-                    for s in (+1, -1)}
-            for row in rows:
-                sign = sign_from_label(row["sign"])
-                part[sign][int(row["j"])] = complex(
-                    float(row.get("re", 0.0)), float(row.get("im", 0.0)))
-            return part
-        return cls(LatticeVector(family, window, entries),
-                   tail_part(data.get("even_tail", ())),
-                   tail_part(data.get("odd_tail", ())))
-
     def __repr__(self) -> str:
         ntail = int(np.count_nonzero(self._even) + np.count_nonzero(self._odd))
         return (f"TailVector({np.count_nonzero(self.finite.coeffs)} finite "
                 f"entries, {ntail} tail amplitudes)")
-
-
-def materialize(f: TailVector, window: Window | None = None) -> LatticeVector:
-    """Write the tail pattern out as plain entries on a window.
-
-    The result truncates the tails at the window top, so it only approximates
-    f; the dropped mass is of order q^{n_max}.  Useful as an oracle against
-    the exact tail arithmetic.
-    """
-    target = window if window is not None else f.window
-    if target.n_min > f.window.n_min or target.n_max < f.window.n_max:
-        raise ValueError("materializing window must contain the source window")
-    grid = lattice_grid(f.family, target)
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    start = f.window.n_min - target.n_min
-    coeffs[:, start:start + f.window.length + 1] = f.finite.coeffs
-    coeffs += (f._even[:, None] * grid.tail_even
-               + f._odd[:, None] * grid.tail_odd)
-    return LatticeVector.from_array(f.family, target, coeffs, f.finite.lost)
-
-
-def extract_tails(raw: LatticeVector, rel_tol: float = 1e-12) -> TailVector:
-    """Recognize a tail pattern in a plain vector and split it off.
-
-    The four deepest window layers must carry point values constant on each
-    parity class (relative tolerance ``rel_tol``); those constants become
-    the tail amplitudes and the remaining finite correction keeps the vector
-    exactly equal to ``raw`` on its window.  Raises ValueError when the top
-    layers are not tail patterned.
-    """
-    window, grid = raw.window, raw.grid
-    if window.n_max - 3 < 0 or window.n_min > MIN_TAIL_WINDOW.n_min:
-        raise ValueError(
-            "tail recognition needs four window layers at nonnegative n")
-    # point values on layers n_max, n_max - 1, n_max - 2, n_max - 3
-    values = (raw.coeffs[:, -4:] / grid.root_mass[:, -4:])[:, ::-1]
-    first, second = (values[:, 0::2], values[:, 1::2])
-    evens, odds = (first, second) if window.n_max % 2 == 0 else (second, first)
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
-    bad = ((np.abs(evens[:, 0] - evens[:, 1]) > rel_tol * scale)
-           | (np.abs(odds[:, 0] - odds[:, 1]) > rel_tol * scale))
-    if np.any(bad):
-        sign, j = grid.keys[int(np.argmax(bad))]
-        raise ValueError(
-            f"vector is not tail patterned at atom ({sign_label(sign)}, {j})")
-    even, odd = evens[:, 0].copy(), odds[:, 0].copy()
-    coeffs = raw.coeffs - (even[:, None] * grid.tail_even
-                           + odd[:, None] * grid.tail_odd)
-    return TailVector.from_arrays(raw.family, window, coeffs, even, odd,
-                                  raw.lost)
 
 
 def apply_X_star(f: TailVector) -> TailVector:
@@ -349,19 +245,6 @@ def apply_U(f: TailVector) -> TailVector:
     out[..., below] += sq * even * grid.root_mass[:, below]
     return TailVector.from_arrays(f.family, f.window, out, sq * odd,
                                   sq * even, f.finite.lost | lost)
-
-
-def apply_U_star(f: TailVector) -> TailVector:
-    """Inverse shift; tails swap parity and scale by 1/sqrt(q).  The new even
-    tail claims layer 0, which the shifted odd tail does not reach, so a
-    compensating point is subtracted from the finite part."""
-    grid, (coeffs, even, odd) = f.grid, f.arrays()
-    sq = f.family.sqrt_q
-    out, lost = act("U*", grid, coeffs)
-    top = grid.column(0)
-    out[..., top] -= odd / sq * grid.root_mass[:, top]
-    return TailVector.from_arrays(f.family, f.window, out, odd / sq,
-                                  even / sq, f.finite.lost | lost)
 
 
 def boundary_form(f: TailVector, g: TailVector) -> complex:

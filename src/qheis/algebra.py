@@ -437,10 +437,6 @@ class AlgebraElement:
             return cls({NormalMonomial("p", 0, -1): _ONE})
         raise ValueError(f"unknown generator {letter!r}")
 
-    @classmethod
-    def monomial(cls, m: NormalMonomial, c: ScalarQ | None = None) -> "AlgebraElement":
-        return cls({m: c if c is not None else _ONE})
-
     # queries
 
     @property

@@ -2,10 +2,10 @@
 the self-adjoint restrictions.
 
 The lattice operators p -> P, x -> X, u -> U, u^-1 -> U* turn every
-normal-form element into an operator on window vectors; ``apply_element``
-evaluates it and ``verify_representation`` checks on a spanning set of
-window vectors that products and the involution are represented
-faithfully.
+normal-form element into an operator on window vectors; ``act_element``
+evaluates it on a stack of them, and ``verify_representation`` checks on a
+spanning set of window vectors that products and the involution are
+represented faithfully.
 
 Classification works on the boundary data alone: the ``CommutantProblem``
 of ``qheis.extensions`` (atom positions and weights per sign plus the
@@ -54,6 +54,7 @@ from .extensions import (  # CommutantProblem re-exported
     CommutantProblem,
     ExtensionTriple,
     make_boundary_map,
+    matrix_to_json,
     z_block_unitary,
 )
 from .lattice import (
@@ -61,7 +62,6 @@ from .lattice import (
     AtomFamily,
     CheckReport,
     LatticeGrid,
-    LatticeVector,
     VerificationCheck,
     Window,
     act,
@@ -101,17 +101,6 @@ def act_element(element: AlgebraElement, grid: LatticeGrid,
             vec = x_image(grid, vec) if reach else vec * grid.position
         out += complex(coeff.evaluate(s_value)) * vec
     return out
-
-
-def apply_element(element: AlgebraElement, v: LatticeVector) -> LatticeVector:
-    """``act_element`` on a window vector."""
-    return LatticeVector.from_array(
-        v.family, v.window, act_element(element, v.grid, v.coeffs, v.lost))
-
-
-def element_margin(element: AlgebraElement) -> int:
-    """How many layers an element can move support in either direction."""
-    return max((m.power + abs(m.uexp) for m, _ in element.items()), default=0)
 
 
 _LETTER_PAIRS = [(g1, g2) for g1 in GENERATOR_LETTERS
@@ -317,15 +306,11 @@ class EquivalenceReport:
         return max(self.residuals.values()) if self.residuals else math.inf
 
     def to_json(self) -> dict:
-        def rows(m):
-            if m is None:
-                return None
-            return [[{"re": z.real, "im": z.imag} for z in row] for row in m]
         return {"verdict": self.verdict, "reason": self.reason,
                 "intertwiner_dim": self.intertwiner_dim,
                 "residuals": dict(self.residuals),
-                "witness_plus": rows(self.witness_plus),
-                "witness_minus": rows(self.witness_minus),
+                "witness_plus": matrix_to_json(self.witness_plus),
+                "witness_minus": matrix_to_json(self.witness_minus),
                 **_health_json(self)}
 
 

@@ -93,7 +93,8 @@ def triple_from_config(config: dict) -> ExtensionTriple:
 def config_tol(config: dict, task_default: float) -> float:
     if "tol" in config:
         tol = config["tol"]
-        if not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not 0 < tol < math.inf):
             raise ConfigError(
                 f"/tol: expected a positive finite number, got {tol!r}")
         return float(tol)
@@ -104,7 +105,7 @@ def config_seed(config: dict, override) -> int:
     if override is not None:
         return int(override)
     seed = config.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"/seed: expected an integer, got {seed!r}")
     return seed
 

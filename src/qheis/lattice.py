@@ -47,14 +47,6 @@ def sign_label(sign: int) -> str:
     return "+" if sign > 0 else "-"
 
 
-def sign_from_label(label) -> int:
-    if label in (1, +1, "+", "plus"):
-        return +1
-    if label in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"unknown sign {label!r}")
-
-
 @dataclass(frozen=True)
 class Atom:
     """One atom of the base measure: position in [q, 1), weight > 0."""
@@ -156,7 +148,11 @@ class Window:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Window":
-        return cls(int(data["n_min"]), int(data["n_max"]))
+        """Bounds must be integers: a float or a bool is refused, not cut."""
+        for key in ("n_min", "n_max"):
+            if isinstance(data[key], bool) or not isinstance(data[key], int):
+                raise TypeError(f"{key}: expected an integer, got {data[key]!r}")
+        return cls(data["n_min"], data["n_max"])
 
 
 def basis_indices(family: AtomFamily, window: Window,
@@ -327,10 +323,6 @@ class LatticeVector:
                      j: int, n: int) -> "LatticeVector":
         return cls(family, window, {(sign, j, n): 1.0 + 0j})
 
-    @classmethod
-    def zero(cls, family: AtomFamily, window: Window) -> "LatticeVector":
-        return cls(family, window)
-
     @property
     def grid(self) -> LatticeGrid:
         return lattice_grid(self.family, self.window)
@@ -366,9 +358,6 @@ class LatticeVector:
         if c == 0:
             return 0j
         return c / math.sqrt(self.family.weight(sign, j, n))
-
-    def support(self) -> list[LatticeIndex]:
-        return list(self.entries)
 
     def norm(self) -> float:
         return np.linalg.norm(self.coeffs, axis=(-2, -1))

@@ -12,7 +12,9 @@ sets, so they agree with it on every verdict but not on the values.
 ``check_relations_unit_vectors`` is the array
 relation check on the stack of all basis vectors, which the package's
 per-layer check must match exactly.  ``tests/test_lattice_oracle.py``
-compares the package against all of it on seeded inputs.
+compares the package against all of it on seeded inputs.  ``materialize``
+writes the tails of a package vector out on a deep window, the reference
+for the package's exact tail arithmetic.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import random
 
 import numpy as np
 
+from qheis import lattice
 from qheis.algebra import GENERATOR_LETTERS, AlgebraElement, random_element, star
 from qheis.classify import RepresentationReport
 from qheis.extensions import assemble
@@ -245,6 +248,23 @@ def check_relations_unit_vectors(family, window, tol=1e-12):
             name, float(np.max(residuals, initial=0.0)),
             int(np.count_nonzero(~lost)), tol))
     return LatticeRelationReport(checks)
+
+
+def materialize(f, window=None):
+    """A package TailVector written out as plain entries on a window (its
+    own by default): a package LatticeVector that truncates the tails at
+    the window top, so it misses mass of order q^{n_max}."""
+    target = window if window is not None else f.window
+    if target.n_min > f.window.n_min or target.n_max < f.window.n_max:
+        raise ValueError("materializing window must contain the source window")
+    grid = lattice_grid(f.family, target)
+    finite, even, odd = f.arrays()
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    start = f.window.n_min - target.n_min
+    coeffs[:, start:start + f.window.length + 1] = finite
+    coeffs += even[:, None] * grid.tail_even + odd[:, None] * grid.tail_odd
+    return lattice.LatticeVector.from_array(f.family, target, coeffs,
+                                            f.finite.lost)
 
 
 class TailVector:
@@ -476,7 +496,7 @@ def verify_extension(triple, n_pairs=100, seed=None, tol=1e-12):
 _LETTER_OP = {"p": "P", "x": "X", "u": "U", "u^-1": "U*"}
 
 
-def apply_element(element, v):
+def element_image(element, v):
     out = LatticeVector(v.family, v.window)
     s_value = math.sqrt(v.family.q)
     for mono, coeff in element.items():
@@ -534,14 +554,14 @@ def verify_representation(family, window=None, degree=3, n_samples=25,
         direct = apply_generator(_LETTER_OP[g1],
                                  apply_generator(_LETTER_OP[g2], v))
         worst_pairs = max(worst_pairs, _relative_residual(
-            direct, apply_element(product, v)))
+            direct, element_image(product, v)))
     worst_product = worst_star = 0.0
     for a, b, v, f, g in samples:
-        lhs = apply_element(a * b, v)
-        rhs = apply_element(a, apply_element(b, v))
+        lhs = element_image(a * b, v)
+        rhs = element_image(a, element_image(b, v))
         worst_product = max(worst_product, _relative_residual(lhs, rhs))
-        left = inner(apply_element(a, f), g)
-        right = inner(f, apply_element(star(a), g))
+        left = inner(element_image(a, f), g)
+        right = inner(f, element_image(star(a), g))
         worst_star = max(worst_star, abs(left - right)
                          / max(1.0, abs(left), abs(right)))
     checks = [

@@ -63,7 +63,7 @@ def reference_assemble(triple):
     family, window = triple.family, triple.window
     basis, labels = [], []
     for sign, j, n in basis_indices(family, window, margin=1):
-        basis.append(TailVector.from_finite(
+        basis.append(TailVector(
             LatticeVector.basis_vector(family, window, sign, j, n)))
         labels.append(("site", sign, j, n))
     for parity in ("even", "odd"):

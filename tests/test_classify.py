@@ -9,13 +9,12 @@ from qheis.classify import (
     CATALOG_KINDS,
     CommutantProblem,
     EquivalenceReport,
-    apply_element,
+    act_element,
     build_catalog_triple,
     characterization_report,
     commutant_dim,
     dft_matrix,
     distinct_position_triple,
-    element_margin,
     irreducibility_report,
     repeated_position_triple,
     single_atom_triple,
@@ -24,7 +23,7 @@ from qheis.classify import (
     verify_representation,
 )
 from qheis.extensions import BoundaryMap, ExtensionTriple
-from qheis.lattice import Atom, AtomFamily, LatticeVector, Window, inner
+from qheis.lattice import Atom, AtomFamily, Window, lattice_grid
 
 
 @pytest.fixture
@@ -36,48 +35,44 @@ def gen(letter):
     return AlgebraElement.generator(letter)
 
 
-class TestApplyElement:
-    def test_position_generator_is_diagonal(self, quarter_family):
-        window = Window(-5, 6)
-        e = LatticeVector.basis_vector(quarter_family, window, +1, 0, 1)
-        out = apply_element(gen("p"), e)
-        assert out.coefficient(+1, 0, 1) == pytest.approx(0.2)
-        assert len(out.support()) == 1
+class TestActElement:
+    """``act_element`` on the basis vector at layer 1 of the plus atom,
+    read back as a coefficient array over the layers -5 ... 6."""
 
-    def test_shift_acts_before_the_power(self, quarter_family):
-        window = Window(-5, 6)
-        e = LatticeVector.basis_vector(quarter_family, window, +1, 0, 1)
-        out = apply_element(gen("p") * gen("u"), e)
+    @pytest.fixture
+    def grid(self, quarter_family):
+        return lattice_grid(quarter_family, Window(-5, 6))
+
+    @staticmethod
+    def unit(grid):
+        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs[0, grid.column(1)] = 1.0
+        return coeffs
+
+    def test_position_generator_is_diagonal(self, grid):
+        out = act_element(gen("p"), grid, self.unit(grid))
+        assert out[0, grid.column(1)] == pytest.approx(0.2)
+        assert np.count_nonzero(out) == 1
+
+    def test_shift_acts_before_the_power(self, grid):
+        out = act_element(gen("p") * gen("u"), grid, self.unit(grid))
         # shift to layer 0 first, then multiply by t_0 = 0.8
-        assert out.coefficient(+1, 0, 0) == pytest.approx(0.8)
+        assert out[0, grid.column(0)] == pytest.approx(0.8)
 
-    def test_frozen_difference_composition(self, quarter_family):
-        window = Window(-5, 6)
-        e = LatticeVector.basis_vector(quarter_family, window, +1, 0, 1)
-        out = apply_element(gen("x") * gen("u^-1"), e)
-        assert out.coefficient(+1, 0, 1) == pytest.approx(-10j)
-        assert out.coefficient(+1, 0, 3) == pytest.approx(40j)
+    def test_frozen_difference_composition(self, grid):
+        out = act_element(gen("x") * gen("u^-1"), grid, self.unit(grid))
+        assert out[0, grid.column(1)] == pytest.approx(-10j)
+        assert out[0, grid.column(3)] == pytest.approx(40j)
 
-    def test_commutation_constant_between_shift_and_difference(
-            self, quarter_family):
-        window = Window(-5, 6)
-        e = LatticeVector.basis_vector(quarter_family, window, +1, 0, 1)
-        lhs = apply_element(gen("u") * gen("x"), e)
-        rhs = apply_element(gen("x") * gen("u"), e).scale(1 / 0.25)
-        assert (lhs - rhs).norm() == pytest.approx(0.0, abs=1e-14)
+    def test_commutation_constant_between_shift_and_difference(self, grid):
+        lhs = act_element(gen("u") * gen("x"), grid, self.unit(grid))
+        rhs = act_element(gen("x") * gen("u"), grid, self.unit(grid)) / 0.25
+        assert np.linalg.norm(lhs - rhs) == pytest.approx(0.0, abs=1e-14)
 
-    def test_edge_loss_raises(self, quarter_family):
-        window = Window(-5, 6)
-        e = LatticeVector.basis_vector(quarter_family, window, +1, 0, 1)
+    def test_edge_loss_raises(self, grid):
         seventh = gen("u") ** 7
         with pytest.raises(ValueError, match="window edge"):
-            apply_element(seventh, e)
-
-    def test_element_margin(self):
-        assert element_margin(AlgebraElement.zero()) == 0
-        assert element_margin(gen("p")) == 1
-        assert element_margin(gen("p") * gen("u") * gen("u")) == 3
-        assert element_margin(gen("x") * gen("u^-1")) == 2
+            act_element(seventh, grid, self.unit(grid))
 
 
 class TestRepresentation:

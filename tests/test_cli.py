@@ -1,8 +1,9 @@
 """End-to-end tests for the command line tool, run through subprocesses.
 
-Every test here invokes the installed module entry point the same way a
-shell user would, so exit codes, stream separation, and byte-level
-determinism are all exercised for real.
+Nearly every test here invokes the installed module entry point the same
+way a shell user would, so exit codes, stream separation, and byte-level
+determinism are all exercised for real; config refusals that exit before
+any work call ``main`` in-process.
 """
 
 import json
@@ -14,6 +15,7 @@ import time
 import pytest
 
 from qheis import __version__
+from qheis.cli import main
 
 CLI = [sys.executable, "-m", "qheis.cli"]
 
@@ -250,6 +252,28 @@ class TestConfigHandling:
         assert result.stderr.startswith("error: /tol: expected a positive "
                                         "finite number")
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("spectrum", "n_max", 4.9, "/window: n_max: expected an integer, "
+                                   "got 4.9"),
+        ("spectrum", "n_min", "-3", "/window: n_min: expected an integer, "
+                                    "got '-3'"),
+        ("spectrum", "n_min", True, "/window: n_min: expected an integer, "
+                                    "got True"),
+        ("verify", "seed", True, "/seed: expected an integer, got True"),
+        ("spectrum", "tol", True, "/tol: expected a positive finite number, "
+                                  "got True"),
+    ])
+    def test_non_integer_window_seed_and_bool_tol_are_config_errors(
+            self, configs, tmp_path, capsys, command, key, value, message):
+        # int() would cut 4.9 to 4 and read true as 1, so these are refused;
+        # in-process, as the refusal needs no interpreter of its own
+        config = json.loads(configs[1].read_text())
+        (config["window"] if key.startswith("n_") else config)[key] = value
+        bad = tmp_path / "integers.json"
+        bad.write_text(json.dumps(config))
+        assert main([command, "--config", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestExample:
     def test_config_is_self_contained(self, configs):
@@ -303,6 +327,27 @@ class TestVerify:
         )
         report = json.loads(result.stdout)
         assert report["tol"] == 1e-12
+
+    @pytest.mark.parametrize("q", (1 - 1e-8, 1 - 1e-10))
+    def test_q_near_one_answers_in_bounded_time(self, q, tmp_path):
+        # the tail norm check sums about 41 / (1 - q) terms, 3e9 at
+        # 1 - 1e-8: too many to add one by one
+        from qheis.classify import single_atom_triple
+        from qheis.lattice import Window
+
+        a = (1 + q) / 2
+        triple = single_atom_triple(q, a, a, window=Window(-3, 4))
+        path = tmp_path / "near_one.json"
+        path.write_text(json.dumps(triple.to_json()))
+        result = run_cli("verify", "--config", str(path), timeout=20)
+        assert result.returncode in (0, 1), result.stderr
+        assert "Traceback" not in result.stderr
+        report = json.loads(result.stdout)
+        assert report["status"] == ("pass" if result.returncode == 0
+                                    else "fail")
+        tails = next(c for c in report["extension"]["checks"]
+                     if c["name"] == "tail norms match their geometric sums")
+        assert tails["passed"]
 
     def test_text_format_has_the_header_line(self, configs):
         result = run_cli("verify", "--format", "text", "--config", str(configs[1]))

@@ -11,7 +11,6 @@ from qheis.extensions import (
     assemble,
     domain_residual,
     haar_unitary,
-    in_domain,
     make_boundary_map,
     project_to_domain,
     psd_sqrt,
@@ -23,7 +22,8 @@ from qheis.extensions import (
     z_block_unitary,
 )
 from qheis.classify import build_catalog_triple
-from qheis.lattice import Atom, AtomFamily, Window, basis_indices, matrix_of
+from qheis.lattice import (Atom, AtomFamily, LatticeVector, Window, basis_indices,
+                           matrix_of)
 
 
 def one_atom_family(q=0.5, a=0.7, b=0.6, wp=1.0, wm=2.0):
@@ -170,26 +170,28 @@ class TestTripleAndDomain:
             triple.family, triple.window,
             even={+1: [1.0, 2j], -1: [0.5, -1.0]},
             odd={+1: [3.0, 0.0], -1: [1j, 1.0]})
-        assert not in_domain(raw, triple)
+        res, scale = domain_residual(raw, triple)
+        assert res > 1e-10 * max(1.0, scale)
         proj = project_to_domain(raw, triple)
         res, scale = domain_residual(proj, triple)
         assert res <= 1e-14 * max(1.0, scale)
-        assert in_domain(proj, triple)
         again = project_to_domain(proj, triple)
-        assert again.sub(proj).norm() < 1e-14
+        assert again.add(proj.scale(-1.0)).norm() < 1e-14
 
     def test_tail_free_vectors_conform(self):
         rng = np.random.default_rng(6)
         triple = random_triple(rng)
-        f = TailVector.zero(triple.family, triple.window)
-        assert in_domain(f, triple)
+        f = TailVector(LatticeVector(triple.family, triple.window))
+        res, scale = domain_residual(f, triple)
+        assert res == scale == 0
 
     def test_random_domain_vector(self):
         rng = np.random.default_rng(7)
         triple = random_triple(rng)
         f = random_domain_vector(triple, rng)
         assert f.norm() == pytest.approx(1.0)
-        assert in_domain(f, triple)
+        res, scale = domain_residual(f, triple)
+        assert res <= 1e-10 * max(1.0, scale)
 
     def test_boundary_form_vanishes_on_domain(self):
         rng = np.random.default_rng(8)
@@ -212,7 +214,8 @@ class TestTripleAndDomain:
             f = random_domain_vector(triple, rng)
             uf = apply_U(f)
             assert not uf.finite.lost
-            assert in_domain(uf, triple, tol=1e-12)
+            res, scale = domain_residual(uf, triple)
+            assert res <= 1e-12 * max(1.0, scale)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(10)

@@ -162,8 +162,8 @@ class TestVectors:
             assert abs(direct - oracle) <= 1e-12 * max(1.0, abs(direct))
 
     def test_inner_rejects_mismatched_families(self):
-        f = LatticeVector.zero(family_one_atom(0.5), Window(-2, 2))
-        g = LatticeVector.zero(family_one_atom(0.4), Window(-2, 2))
+        f = LatticeVector(family_one_atom(0.5), Window(-2, 2))
+        g = LatticeVector(family_one_atom(0.4), Window(-2, 2))
         with pytest.raises(ValueError):
             inner(f, g)
 
