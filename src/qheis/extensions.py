@@ -28,8 +28,9 @@ remainder per minus atom and parity.  A remainder is a closed-form tail
 that starts at layer n_max, given by its point values on the two parity
 classes of layers.  The remainders are orthonormalised among themselves,
 and they are orthogonal to the sites, so the model is one matrix in an
-orthonormal basis, built from a few array operations with no cancelling
-sums; the site block is written from the ``LatticeGrid`` X coefficients.
+orthonormal basis, built from a few array operations; the site block is
+written from the ``LatticeGrid`` X coefficients, and only the tail block
+sums terms that cancel (see ``assemble``).
 The model space sits inside the operator domain, so the matrix is
 Hermitian up to rounding and its spectrum approximates the restriction's.
 """
@@ -164,12 +165,6 @@ class BoundaryMap(CommutantProblem):
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.max([np.linalg.norm(m.conj().T @ gp @ m - gm)
                                  for m in (self.vprime, self.wprime)]))
-
-    def h_unitarity_residual(self) -> float:
-        gp, gm = (np.diag(g) for g in self.metric())
-        return max(
-            float(np.linalg.norm(m.conj().T @ gp @ m - gm))
-            for m in (self.v, self.w))
 
     def to_json(self) -> dict:
         if self.phases is not None:
@@ -405,7 +400,16 @@ class AssembledOperator:
         return len(self.labels)
 
     def hermiticity_residual(self) -> float:
-        return float(relative_residual(self.matrix, self.matrix.conj().T))
+        """|H - H*| / max(1, |H|) in Frobenius norms, read only from the
+        entries ``assemble`` writes (it writes no others): the first
+        off-diagonals of the site block, the tail rows and the site part of
+        the tail columns, so no dense copy of the model is made."""
+        h, n = self.matrix, len(self.site_label_indices())
+        lower, upper = np.diagonal(h[:n, :n], -1), np.diagonal(h[:n, :n], 1)
+        return float(relative_residual(
+            np.concatenate([lower, upper, h[n:].ravel(), h[:n, n:].ravel()]),
+            np.concatenate([upper, lower, h[:, n:].T.ravel(),
+                            h[n:, :n].T.ravel()]).conj()))
 
     def hermitian_matrix(self) -> np.ndarray:
         """``matrix`` itself, not a copy."""
@@ -420,13 +424,17 @@ class AssembledOperator:
 
 def assemble(triple: ExtensionTriple) -> AssembledOperator:
     """Compress the restriction onto interior sites plus orthonormal tail
-    remainders, with every matrix entry in closed form and no cancellation.
+    remainders, with every matrix entry in closed form.
 
     Sites are orthonormal, and the site block is X between them.  The
     remainders of ``remainder_coefficients`` are orthonormal and vanish
     below N = n_max, so they are orthogonal to the sites.  X* of a
     remainder with point values (A, B) has point values (i / t_{N-1})(-A)
     at layer N - 1 and (i / t_N)(-B) at layer N, and no others.
+
+    Only the tail block -alpha* diag(up / q) beta cancels: its terms, of
+    size |up| / q, cancel between the plus and minus atoms (to zero where
+    their positions coincide), so its rounding is of order eps |up| / q.
     """
     family, window = triple.family, triple.window
     q, grid = family.q, lattice_grid(family, window)
@@ -516,19 +524,14 @@ def _tail_checks(triple: ExtensionTriple,
     size, image_size = units.norm(), images.norm()
     scale = np.maximum(1.0, image_size[:, None] * size
                        + size[:, None] * image_size)
-    forms = boundary_form(f, g)
     direct = xf.inner(g) - f.inner(xg)
     checks.append(VerificationCheck(
         "pairing formula matches direct adjoint evaluation",
-        float(np.max(np.abs(direct - forms) / scale, initial=0.0)), tol,
+        float(np.max(np.abs(direct - boundary_form(f, g)) / scale,
+                     initial=0.0)), tol,
         detail=f"all {count * count} pairs of {2 * rows} unit tails and "
                f"{count - 2 * rows} finite units at layers -1 and 0, "
                f"relative to the adjoint image size"))
-    if rows:
-        checks.append(VerificationCheck(
-            "non-conforming pair shows a nonzero pairing",
-            float(abs(forms[0, rows])), 1e-3, kind="min",
-            detail="plus-side even vs odd unit tails"))
 
     res, size = domain_residual(apply_U(tails), triple)
     checks.append(VerificationCheck(
@@ -552,11 +555,11 @@ def verify_extension(triple: ExtensionTriple, n_pairs: int = 100,
                      tol: float = 1e-12) -> CheckReport:
     """Check everything that makes the restriction self-adjoint in practice.
 
-    Measures the boundary pairing on all pairs of a basis of the conforming
-    tails, cross-checks the closed pairing formula against the direct
-    adjoint evaluation on all pairs of unit tails and the finite units X*
-    couples them to, exhibits a non-conforming pair with a visibly nonzero
-    pairing, verifies shift covariance of the domain on the conforming
+    Checks that the boundary matrices are weight isometries, measures the
+    boundary pairing on all pairs of a basis of the conforming tails,
+    cross-checks the closed pairing formula against the direct adjoint
+    evaluation on all pairs of unit tails and the finite units X* couples
+    them to, verifies shift covariance of the domain on the conforming
     basis, the tail norm identities, and Hermiticity of the assembled
     model.  Nothing is drawn at random: ``n_pairs`` and ``seed`` are
     accepted for old callers and not read.
@@ -564,8 +567,6 @@ def verify_extension(triple: ExtensionTriple, n_pairs: int = 100,
     report = CheckReport([
         VerificationCheck("boundary matrices are weight isometries",
                           triple.bmap.k_isometry_residual(), max(tol, 1e-10)),
-        VerificationCheck("derived maps are boundary-metric unitaries",
-                          triple.bmap.h_unitarity_residual(), max(tol, 1e-10)),
         *_tail_checks(triple, tol)])
 
     model = assemble(triple)

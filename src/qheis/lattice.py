@@ -195,10 +195,10 @@ class LatticeGrid:
             self.mass = self.weights[:, None] * powers
             self.root_mass = np.sqrt(self.mass)
             inverse = 1.0 / self.position
-        self.x_up, self.x_down = (np.zeros(self.shape, dtype=complex)
-                                  for _ in range(2))
-        self.x_up.imag = inverse / family.sqrt_q
-        self.x_down.imag = -(inverse * family.sqrt_q)
+            self.x_up, self.x_down = (np.zeros(self.shape, dtype=complex)
+                                      for _ in range(2))
+            self.x_up.imag = inverse / family.sqrt_q
+            self.x_down.imag = -(inverse * family.sqrt_q)
         self.tail_even = np.where((layers >= 0) & (layers % 2 == 0),
                                   self.root_mass, 0.0)
         self.tail_odd = np.where((layers >= 1) & (layers % 2 == 1),

@@ -95,6 +95,12 @@ class TestRepresentation:
         assert set(data) == {"passed", "degree", "n_samples", "seed", "checks"}
         assert len(data["checks"]) == 3
 
+    def test_a_representation_window_beyond_the_float_range_raises(self):
+        family = AtomFamily(1e-60, [Atom(2.1e-59)], [Atom(2.1e-59)])
+        with pytest.raises(ValueError, match=r"representation window "
+                           r"\(-8, 9\): q\^n leaves the float range"):
+            verify_representation(family)
+
     def test_window_too_small_raises(self):
         family = AtomFamily(0.5, [Atom(0.7)], [Atom(0.7)])
         with pytest.raises(ValueError, match="window too small"):
@@ -318,11 +324,9 @@ class TestCharacterization:
         assert names == [
             "position operator has trivial kernel",
             "defining relations hold on the lattice",
-            "position matrix is hermitian",
             "point masses scale by q per layer",
             "shift is isometric away from the window edge",
             "difference operator is symmetric on the interior",
-            "boundary matrices are weight isometries",
         ]
 
     def test_zero_position_fails_and_skips_relations(self):
@@ -337,6 +341,17 @@ class TestCharacterization:
         relations = by_name["defining relations hold on the lattice"]
         assert not relations.passed
         assert "skipped" in relations.detail
+
+    @pytest.mark.parametrize("q", (1e-16, 1e-20))
+    def test_tiny_positions_keep_a_trivial_kernel(self, q):
+        # positions down to 2e-80 on the window are nonzero, and the
+        # relations hold there
+        family = AtomFamily(q, [Atom(2 * q)], [Atom(2 * q)])
+        bmap = BoundaryMap(family, np.eye(1), np.eye(1))
+        report = characterization_report(
+            ExtensionTriple(family, Window(-2, 3), bmap))
+        assert report.passed, report.to_json()
+        assert len(report.checks) == 5
 
     def test_report_json_shape(self):
         data = characterization_report(build_catalog_triple(2)).to_json()

@@ -328,10 +328,11 @@ class TestVerify:
         report = json.loads(result.stdout)
         assert report["tol"] == 1e-12
 
-    @pytest.mark.parametrize("q", (1 - 1e-8, 1 - 1e-10))
+    @pytest.mark.parametrize("q", (0.9999, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10))
     def test_q_near_one_answers_in_bounded_time(self, q, tmp_path):
         # the tail norm check sums about 41 / (1 - q) terms, 3e9 at
-        # 1 - 1e-8: too many to add one by one
+        # 1 - 1e-8: too many to add one by one.  Every check passes: none
+        # has a fixed bound that a value of order 1 - q falls under
         from qheis.classify import single_atom_triple
         from qheis.lattice import Window
 
@@ -340,14 +341,26 @@ class TestVerify:
         path = tmp_path / "near_one.json"
         path.write_text(json.dumps(triple.to_json()))
         result = run_cli("verify", "--config", str(path), timeout=20)
-        assert result.returncode in (0, 1), result.stderr
-        assert "Traceback" not in result.stderr
-        report = json.loads(result.stdout)
-        assert report["status"] == ("pass" if result.returncode == 0
-                                    else "fail")
-        tails = next(c for c in report["extension"]["checks"]
-                     if c["name"] == "tail norms match their geometric sums")
-        assert tails["passed"]
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert json.loads(result.stdout)["status"] == "pass"
+
+    def test_an_unrepresentable_representation_window_is_a_usage_error(
+            self, tmp_path):
+        # the config window (-2, 3) is in the float range at q = 1e-60; the
+        # representation suite's own window (-8, 9) is not
+        from qheis.classify import single_atom_triple
+        from qheis.lattice import Window
+
+        triple = single_atom_triple(1e-60, 2.1e-59, 2.1e-59,
+                                    window=Window(-2, 3))
+        path = tmp_path / "tiny_q.json"
+        path.write_text(json.dumps(triple.to_json()))
+        result = run_cli("verify", "--config", str(path), timeout=20)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "error: representation window (-8, 9): q^n leaves the float range")
+        assert result.stderr.count("\n") == 1
 
     def test_text_format_has_the_header_line(self, configs):
         result = run_cli("verify", "--format", "text", "--config", str(configs[1]))

@@ -23,7 +23,7 @@ from qheis.extensions import (
 )
 from qheis.classify import build_catalog_triple
 from qheis.lattice import (Atom, AtomFamily, LatticeVector, Window, basis_indices,
-                           matrix_of)
+                           matrix_of, relative_residual)
 
 
 def one_atom_family(q=0.5, a=0.7, b=0.6, wp=1.0, wm=2.0):
@@ -72,6 +72,15 @@ class TestUnitaryHelpers:
             z_block_unitary([[2.0]])
 
 
+def metric_unitarity_gap(bmap):
+    """|M* diag(w+ / a+) M - diag(w- / a-)| over the derived maps M = v, w:
+    zero when the position rescaling makes them unitary for the boundary
+    metric."""
+    gp, gm = (np.diag(g) for g in bmap.metric())
+    return max(float(np.linalg.norm(m.conj().T @ gp @ m - gm))
+               for m in (bmap.v, bmap.w))
+
+
 class TestBoundaryMap:
     def test_phase_form_includes_weight_scale(self):
         fam = one_atom_family(wp=1.0, wm=4.0)
@@ -86,7 +95,7 @@ class TestBoundaryMap:
         want = (0.9 * 0.7) / (1.3 * 0.6)
         assert abs(bmap.v[0, 0]) ** 2 == pytest.approx(want)
         assert abs(bmap.w[0, 0]) ** 2 == pytest.approx(want)
-        assert bmap.h_unitarity_residual() < 1e-12
+        assert metric_unitarity_gap(bmap) < 1e-12
 
     def test_random_map_is_weight_isometry(self):
         rng = np.random.default_rng(3)
@@ -94,7 +103,7 @@ class TestBoundaryMap:
         for _ in range(5):
             bmap = random_boundary_map(fam, rng)
             assert bmap.k_isometry_residual() < 1e-12
-            assert bmap.h_unitarity_residual() < 1e-12
+            assert metric_unitarity_gap(bmap) < 1e-12
 
     def test_validation_rejects_non_isometries(self):
         fam = one_atom_family()
@@ -256,6 +265,22 @@ class TestAssembly:
             assert np.allclose(herm, herm.conj().T, atol=1e-10 * max(
                 1.0, np.linalg.norm(herm)))
 
+    @pytest.mark.parametrize("kind", (1, 2, 3, 4, 5))
+    def test_hermiticity_residual_is_that_of_the_whole_matrix(self, kind):
+        # also with V' off the isometry, and, on kind 1, on a window whose
+        # squared entries overflow (q = 0.2, n_max = 300)
+        triple = build_catalog_triple(kind)
+        bad = BoundaryMap(triple.family, 1.2 * triple.bmap.vprime,
+                          triple.bmap.wprime, validate=False)
+        cases = [triple, ExtensionTriple(triple.family, triple.window, bad)]
+        if kind == 1:
+            cases.append(build_catalog_triple(1, {"q": 0.2, "window": {
+                "n_min": -6, "n_max": 300}}))
+        for t in cases:
+            model = assemble(t)
+            want = relative_residual(model.matrix, model.matrix.conj().T)
+            assert abs(model.hermiticity_residual() - want) <= 1e-14 * want
+
     def test_minimal_window_dimension(self):
         triple = simple_triple(window=Window(-2, 0))
         model = assemble(triple)
@@ -322,7 +347,7 @@ class TestVerification:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "boundary pairing vanishes on conforming pairs" in failed
-        assert "derived maps are boundary-metric unitaries" in failed
+        assert "boundary matrices are weight isometries" in failed
 
     def test_report_json(self):
         report = verify_extension(simple_triple())

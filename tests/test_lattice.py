@@ -91,6 +91,14 @@ class TestWindowBounds:
         with pytest.raises(ValueError, match="8 atoms on 307 layers"):
             check_window(fam, Window(-6, 300))
 
+    def test_an_overflowing_x_coefficient_is_refused_without_a_warning(self):
+        # at q = 1e-30 the positions on (-8, 9) are finite, but the X
+        # coefficient (1 / t_9) q^-1/2 overflows; under the suite's warning
+        # filter an overflow warning would escape as an error instead
+        fam = AtomFamily(1e-30, [Atom(2.1e-29)], [Atom(2.1e-29)])
+        with pytest.raises(ValueError, match="between layers 8 and 9"):
+            check_window(fam, Window(-8, 9))
+
 
 class TestRelativeResidual:
     @staticmethod
