@@ -46,8 +46,8 @@ print("norms before and after the shift:", inner(f, f).real, inner(uf, uf).real)
 # Every defining relation holds on all interior basis vectors.
 report = check_relations_lattice(family, window)
 for check in report.checks:
-    print(f"  {check.name:35s} residual {check.max_residual:.2e} "
-          f"on {check.vectors_checked} vectors")
+    print(f"  {check.name:35s} residual {check.value:.2e} "
+          f"on {check.detail}")
 print("all relations pass:", report.passed)
 
 # Matrices over the window basis make the same statement in bulk. The

@@ -10,7 +10,7 @@ model on the line.
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # public names by defining module; each module is imported on first use
 # (PEP 562), so that the normal-form path never loads numpy

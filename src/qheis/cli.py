@@ -85,9 +85,13 @@ def triple_from_config(config: dict) -> ExtensionTriple:
         raise ConfigError(f"/window: {err}")
     try:
         bmap = BoundaryMap.from_json(config["map"], family)
-        return ExtensionTriple(family, window, bmap)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"/map: {err}")
+    try:
+        # the map was built for this family, so only the window can fail
+        return ExtensionTriple(family, window, bmap)
+    except ValueError as err:
+        raise ConfigError(f"/window: {err}")
 
 
 def config_tol(config: dict, task_default: float) -> float:
@@ -137,10 +141,23 @@ def _text_lines(report: dict, indent: str = "") -> list[str]:
     return lines
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float replaced by None: JSON has no
+    Infinity or NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def emit_report(report: dict, fmt: str, stream=None) -> None:
     stream = stream or sys.stdout
     if fmt == "json":
-        stream.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        stream.write(json.dumps(_strict_json(report), sort_keys=True,
+                                indent=2) + "\n")
         return
     head = (f"qheis {report['version']}  "
             f"config {report['config_hash'][:12]}  "

@@ -173,8 +173,7 @@ class BoundaryMap(CommutantProblem):
                 "Wprime": matrix_to_json(self.wprime)}
 
     @classmethod
-    def from_json(cls, data, family: AtomFamily,
-                  validate: bool = True) -> "BoundaryMap":
+    def from_json(cls, data, family: AtomFamily) -> "BoundaryMap":
         def finite(value, name: str) -> float:
             x = float(value)
             if not math.isfinite(x):
@@ -185,8 +184,7 @@ class BoundaryMap(CommutantProblem):
             ph = data["phases"]
             return make_boundary_map(
                 family, phases=(finite(ph["v"], "phases/v"),
-                                finite(ph["w"], "phases/w")),
-                validate=validate)
+                                finite(ph["w"], "phases/w")))
         def entry(c, name: str):
             if not isinstance(c, dict):
                 raise TypeError(f"matrix entries are {{re, im}} objects, "
@@ -199,8 +197,7 @@ class BoundaryMap(CommutantProblem):
                               for j, c in enumerate(row)]
                              for i, row in enumerate(data[key])],
                             dtype=complex)
-        return cls(family, parse("Vprime"), parse("Wprime"),
-                   validate=validate)
+        return cls(family, parse("Vprime"), parse("Wprime"))
 
     def __repr__(self) -> str:
         return f"BoundaryMap(dim={self.dim})"
@@ -221,7 +218,7 @@ def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def make_boundary_map(family: AtomFamily, phases=None, vprime=None,
-                      wprime=None, validate: bool = True) -> BoundaryMap:
+                      wprime=None) -> BoundaryMap:
     """Build a boundary map either from a phase pair (one atom per sign;
     the weight factor sqrt(w-/w+) is supplied automatically) or from
     explicit primitive matrices."""
@@ -233,11 +230,10 @@ def make_boundary_map(family: AtomFamily, phases=None, vprime=None,
         pv, pw = float(phases[0]), float(phases[1])
         scale = math.sqrt(family.minus[0].weight / family.plus[0].weight)
         return BoundaryMap(family, [[scale * np.exp(1j * pv)]],
-                           [[scale * np.exp(1j * pw)]],
-                           validate=validate, phases=(pv, pw))
+                           [[scale * np.exp(1j * pw)]], phases=(pv, pw))
     if vprime is None or wprime is None:
         raise ValueError("need both Vprime and Wprime")
-    return BoundaryMap(family, vprime, wprime, validate=validate)
+    return BoundaryMap(family, vprime, wprime)
 
 
 def random_boundary_map(family: AtomFamily, rng) -> BoundaryMap:
@@ -276,10 +272,10 @@ class ExtensionTriple:
                 "map": self.bmap.to_json()}
 
     @classmethod
-    def from_json(cls, data, validate: bool = True) -> "ExtensionTriple":
+    def from_json(cls, data) -> "ExtensionTriple":
         family = AtomFamily.from_json(data["family"])
         window = Window.from_json(data["window"])
-        bmap = BoundaryMap.from_json(data["map"], family, validate=validate)
+        bmap = BoundaryMap.from_json(data["map"], family)
         return cls(family, window, bmap)
 
     def __repr__(self) -> str:
@@ -317,19 +313,18 @@ def project_to_domain(f: TailVector, triple: ExtensionTriple) -> TailVector:
         np.concatenate([(h - k) / 2.0, zeta_m], axis=-1), f.finite.lost)
 
 
-def random_domain_vector(triple: ExtensionTriple, rng,
-                         margin: int = 2, density: float = 0.3) -> TailVector:
+def random_domain_vector(triple: ExtensionTriple, rng) -> TailVector:
     """Random unit vector in the restriction's domain: a complex normal
-    value at each site ``margin`` layers clear of the window edges where
-    rng.random() < density (sites in ``basis_indices`` order), random even
+    value at each site two layers clear of the window edges where
+    rng.random() < 0.3 (sites in ``basis_indices`` order), random even
     and odd minus tails, and the plus tails that make it conform."""
     grid = lattice_grid(triple.family, triple.window)
     rows, dim = grid.shape[0], len(triple.family.minus)
     normal = rng.standard_normal
     coeffs = np.zeros(grid.shape, dtype=complex)
     for row in coeffs:
-        for c in range(margin, len(row) - margin):
-            if rng.random() < density:
+        for c in range(2, len(row) - 2):
+            if rng.random() < 0.3:
                 row[c] = complex(normal(), normal())
     even, odd = np.zeros(rows, dtype=complex), np.zeros(rows, dtype=complex)
     even[rows - dim:] = normal(dim) + 1j * normal(dim)

@@ -137,8 +137,8 @@ class Window:
     def contains(self, n: int) -> bool:
         return self.n_min <= n <= self.n_max
 
-    def is_interior(self, n: int, margin: int = 1) -> bool:
-        return self.n_min + margin <= n <= self.n_max - margin
+    def is_interior(self, n: int) -> bool:
+        return self.n_min < n < self.n_max
 
     def indices(self) -> range:
         return range(self.n_min, self.n_max + 1)
@@ -441,39 +441,6 @@ class CheckReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-@dataclass
-class RelationCheck:
-    name: str
-    max_residual: float
-    vectors_checked: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.vectors_checked > 0 and self.max_residual < self.tol
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "max_residual": self.max_residual,
-                "vectors_checked": self.vectors_checked, "tol": self.tol,
-                "passed": self.passed}
-
-
-@dataclass
-class LatticeRelationReport:
-    checks: list[RelationCheck]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_residual(self) -> float:
-        return max(c.max_residual for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
-
-
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray, axis=None):
     """|lhs - rhs| / max(1, |lhs|, |rhs|) in Frobenius norms: of the whole
     arrays, or per member of two stacks over ``axis``, such as (-2, -1).
@@ -503,9 +470,10 @@ def relative_residual(lhs: np.ndarray, rhs: np.ndarray, axis=None):
 
 
 def check_relations_lattice(family: AtomFamily, window: Window,
-                            tol: float = 1e-12) -> LatticeRelationReport:
+                            tol: float = 1e-12) -> CheckReport:
     """Residuals of the defining relations on every basis vector far enough
-    from the window edge that no term suffers edge loss.
+    from the window edge that no term suffers edge loss: one check per
+    relation, whose value is its largest residual.
 
     Both sides of a relation act on ``layer_units``, one residual per row
     of an image, that is per basis vector; a layer counts when neither side
@@ -544,6 +512,7 @@ def check_relations_lattice(family: AtomFamily, window: Window,
                 total = total + c * vecs
             sides.append(total)
         residuals = relative_residual(*sides, axis=-1)[~lost]
-        checks.append(RelationCheck(
-            name, float(np.max(residuals, initial=0.0)), residuals.size, tol))
-    return LatticeRelationReport(checks)
+        checks.append(VerificationCheck(
+            name, float(np.max(residuals, initial=0.0)), tol,
+            detail=f"{residuals.size} basis vectors"))
+    return CheckReport(checks)

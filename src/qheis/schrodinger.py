@@ -39,6 +39,15 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2)
 # 2,000 took 2.3 s on a 2-CPU host
 MAX_SAMPLES = 1000
 
+# parameter distance below which two packets are float twins of one packet
+TWIN_TOL = 1e-9
+
+# the nodes of grid_residual, and those of inner_quadrature with their step
+_GRID = np.linspace(-6.0, 6.0, 121)
+_QUADRATURE_NODES, _QUADRATURE_STEP = np.linspace(-12.0, 12.0, 481,
+                                                  retstep=True)
+_GRID.flags.writeable = _QUADRATURE_NODES.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class SchrodingerParams:
@@ -204,59 +213,58 @@ def h_function(z: complex, params: SchrodingerParams) -> complex:
     return (cmath.exp(1j * z) / params.s - params.s * cmath.exp(-1j * z))
 
 
-def consolidate(f: GaussianElement, tol: float = 1e-9) -> GaussianElement:
-    """Merge packets whose parameters agree to within tol.
+def consolidate(f: GaussianElement) -> GaussianElement:
+    """Merge packets whose parameters agree to within TWIN_TOL.
 
     Genuinely distinct packets produced by the operators sit at parameter
     distance at least min(1, 2*alpha) from each other, while float twins of
-    the same packet differ by a few ulps, so any tol in between separates
-    the two cleanly.  Replacing gamma' by gamma perturbs the packet by
-    O(|gamma - gamma'|), far below any tolerance this module tests.
+    the same packet differ by a few ulps, so any tolerance in between
+    separates the two cleanly.  Replacing gamma' by gamma perturbs the
+    packet by O(|gamma - gamma'|), far below any tolerance this module
+    tests.
     """
     merged: list[tuple[complex, complex]] = []
     for gamma, coeff in sorted(f._terms.items(),
                                key=lambda kv: (kv[0].real, kv[0].imag)):
-        if merged and abs(gamma - merged[-1][0]) <= tol:
+        if merged and abs(gamma - merged[-1][0]) <= TWIN_TOL:
             merged[-1] = (merged[-1][0], merged[-1][1] + coeff)
         else:
             merged.append((gamma, coeff))
     return GaussianElement(dict(merged))
 
 
-def norm_residual(lhs: GaussianElement, rhs: GaussianElement,
-                  tol: float = 1e-9) -> float:
+def norm_residual(lhs: GaussianElement, rhs: GaussianElement) -> float:
     """Relative disagreement in the Gaussian norm, with twin packets of the
     difference consolidated first."""
-    gap = norm(consolidate(lhs - rhs, tol))
+    gap = norm(consolidate(lhs - rhs))
     return gap / max(1.0, norm(lhs), norm(rhs))
 
 
-def grid_residual(lhs: GaussianElement, rhs: GaussianElement,
-                  grid=None) -> float:
-    """Pointwise relative disagreement of two packet combinations."""
-    if grid is None:
-        grid = np.linspace(-6.0, 6.0, 121)
-    lv, rv = lhs.evaluate(grid), rhs.evaluate(grid)
+def grid_residual(lhs: GaussianElement, rhs: GaussianElement) -> float:
+    """Pointwise relative disagreement of two packet combinations on 121
+    equispaced nodes over [-6, 6]."""
+    lv, rv = lhs.evaluate(_GRID), rhs.evaluate(_GRID)
     scale = max(1.0, float(np.abs(lv).max(initial=0.0)),
                 float(np.abs(rv).max(initial=0.0)))
     return float(np.abs(lv - rv).max(initial=0.0)) / scale
 
 
-def inner_quadrature(f: GaussianElement, g: GaussianElement,
-                     cutoff: float = 12.0) -> complex:
+def inner_quadrature(f: GaussianElement, g: GaussianElement) -> complex:
     """Quadrature oracle for the inner product: the trapezoid rule on 481
-    equispaced nodes over [-cutoff, cutoff].  The integrand is entire and
-    decays like e^{-2t^2}, so a cutoff of 12 is far past double precision
-    and the rule converges exponentially in the node count (Trefethen and
+    equispaced nodes over [-12, 12].  The integrand is entire and decays
+    like e^{-2t^2}, so a cutoff of 12 is far past double precision and the
+    rule converges exponentially in the node count (Trefethen and
     Weideman, SIAM Review 2014)."""
-    t, step = np.linspace(-cutoff, cutoff, 481, retstep=True)
+    t = _QUADRATURE_NODES
     values = f.evaluate(t) * np.conj(g.evaluate(t))
-    return complex(step * (values.sum() - 0.5 * (values[0] + values[-1])))
+    return complex(_QUADRATURE_STEP
+                   * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
-def random_packet(rng: random.Random, max_terms: int = 3) -> GaussianElement:
+def random_packet(rng: random.Random) -> GaussianElement:
+    """One to three packets, each parameter and coefficient from ``rng``."""
     out = GaussianElement.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         gamma = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         out = out + GaussianElement.packet(gamma, coeff)

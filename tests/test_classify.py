@@ -325,7 +325,6 @@ class TestCharacterization:
             "position operator has trivial kernel",
             "defining relations hold on the lattice",
             "point masses scale by q per layer",
-            "shift is isometric away from the window edge",
             "difference operator is symmetric on the interior",
         ]
 
@@ -351,7 +350,7 @@ class TestCharacterization:
         report = characterization_report(
             ExtensionTriple(family, Window(-2, 3), bmap))
         assert report.passed, report.to_json()
-        assert len(report.checks) == 5
+        assert len(report.checks) == 4
 
     def test_report_json_shape(self):
         data = characterization_report(build_catalog_triple(2)).to_json()

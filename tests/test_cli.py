@@ -29,6 +29,13 @@ def run_cli(*args, env_extra=None, timeout=None):
                           env=env, timeout=timeout)
 
 
+def strict_json(text):
+    """``json.loads`` that refuses Infinity and NaN, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     """Catalog configs written once and shared by the tests below."""
@@ -274,6 +281,19 @@ class TestConfigHandling:
         assert main([command, "--config", str(bad)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("n_min, n_max, message", [
+        (-1, 0, "restriction models need a window of length >= 2"),
+        (0, 3, "window must contain the layers -1 and 0"),
+    ])
+    def test_model_window_errors_name_the_window(
+            self, configs, tmp_path, capsys, n_min, n_max, message):
+        config = json.loads(configs[1].read_text())
+        config["window"] = {"n_min": n_min, "n_max": n_max}
+        bad = tmp_path / "window.json"
+        bad.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: /window: {message}\n")
+
 
 class TestExample:
     def test_config_is_self_contained(self, configs):
@@ -362,6 +382,21 @@ class TestVerify:
             "error: representation window (-8, 9): q^n leaves the float range")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("n_min", (-1, -2))
+    def test_skipped_relations_are_null_in_strict_json(
+            self, configs, tmp_path, capsys, n_min):
+        # windows of length 2 and 3 are too short for the relation checks,
+        # which then fail with an infinite value
+        config = json.loads(configs[1].read_text())
+        config["window"] = {"n_min": n_min, "n_max": 1}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(path)]) == 1
+        report = strict_json(capsys.readouterr().out)
+        relations = report["characterization"]["checks"][1]
+        assert relations["name"] == "defining relations hold on the lattice"
+        assert relations["value"] is None and not relations["passed"]
+
     def test_text_format_has_the_header_line(self, configs):
         result = run_cli("verify", "--format", "text", "--config", str(configs[1]))
         header = result.stdout.splitlines()[0]
@@ -407,11 +442,7 @@ class TestSpectrum:
         result = run_cli(command, "--config", str(path), timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
-
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-        assert json.loads(result.stdout,
-                          parse_constant=refuse)["status"] == "pass"
+        assert strict_json(result.stdout)["status"] == "pass"
 
     @pytest.mark.parametrize("command", ("spectrum", "verify"))
     def test_windows_over_the_site_budget_are_config_errors(self, command,
@@ -491,6 +522,21 @@ class TestEquiv:
         report = json.loads(result.stdout)
         assert report["verdict"] == "inequivalent"
         assert "different numbers" in report["reason"]
+
+    def test_no_shared_position_is_null_in_strict_json(self, configs,
+                                                       tmp_path, capsys):
+        # no intertwiner entry survives the position constraints, so no
+        # singular value is kept and the smallest kept one is infinite
+        config = json.loads(configs[1].read_text())
+        for side in ("plus", "minus"):
+            config["family"][side][0]["a"] = 0.8
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(config))
+        assert main(["equiv", "--config-a", str(configs[1]),
+                     "--config-b", str(path)]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["verdict"] == "inequivalent"
+        assert report["smallest_kept_sv"] is None
 
     def test_reducible_pair_without_witness_is_undecided(self, configs, tmp_path):
         config = json.loads(configs[4].read_text())

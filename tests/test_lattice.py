@@ -296,7 +296,7 @@ class TestRelationResiduals:
         fam = family_one_atom(0.5, 0.7)
         report = check_relations_lattice(fam, Window(-10, 10))
         assert report.passed
-        assert report.max_residual < 1e-12
+        assert max(c.value for c in report.checks) < 1e-12
 
     def test_multi_atom_random_configs(self):
         rng = random.Random(17)
